@@ -17,7 +17,7 @@
 //! Determinism: particles are generated from a seeded hash of their
 //! global id, halo slots are read in a fixed direction order after a
 //! barrier, and every float accumulates in a fixed order — the result is
-//! bit-identical across runs and engine backends.
+//! bit-identical across runs.
 
 use std::sync::Arc;
 

@@ -4,14 +4,13 @@ use std::fmt;
 
 use hupc_gasnet::FaultPlan;
 use hupc_net::Conduit;
-use hupc_sim::SimBackend;
 use hupc_topo::MachineSpec;
 use hupc_upc::UpcConfig;
 
 use crate::params::{ParamError, Params};
 
 /// Everything outside the workload's own knobs: the simulated platform, the
-/// SPMD layout, the engine backend, and an optional fault plan. Workloads
+/// SPMD layout, and an optional fault plan. Workloads
 /// build their own [`hupc_upc::UpcJob`] from this (segment sizing is
 /// app-specific), normally through [`RunEnv::upc_config`].
 #[derive(Clone, Debug)]
@@ -20,29 +19,20 @@ pub struct RunEnv {
     pub threads: usize,
     pub nodes_used: usize,
     pub conduit: Conduit,
-    /// `None` = the process default (which itself honours
-    /// `HUPC_SIM_BACKEND`); the runner swaps the default around the run.
-    pub backend: Option<SimBackend>,
     pub fault: Option<FaultPlan>,
 }
 
 impl RunEnv {
-    /// A small test platform: `nodes` small-test nodes, QDR InfiniBand,
-    /// default backend, no faults.
+    /// A small test platform: `nodes` small-test nodes, QDR InfiniBand, no
+    /// faults.
     pub fn small(threads: usize, nodes: usize) -> RunEnv {
         RunEnv {
             machine: MachineSpec::small_test(nodes.max(1)),
             threads,
             nodes_used: nodes,
             conduit: Conduit::ib_qdr(),
-            backend: None,
             fault: None,
         }
-    }
-
-    pub fn with_backend(mut self, b: SimBackend) -> RunEnv {
-        self.backend = Some(b);
-        self
     }
 
     pub fn with_fault(mut self, f: FaultPlan) -> RunEnv {
@@ -124,12 +114,12 @@ impl From<ParamError> for AppError {
 }
 
 /// One pluggable application. Implementations own their kernel and their
-/// oracle; the SDK owns everything around them (registry lookup, backend
-/// selection, tracing, report emission).
+/// oracle; the SDK owns everything around them (registry lookup, tracing,
+/// report emission).
 ///
 /// The contract:
 /// - `run` must be deterministic: same `(env, params)` ⇒ same [`Verified`]
-///   (bit-identical floats), on any engine backend.
+///   (bit-identical floats).
 /// - `run` must consume its params through a [`crate::ParamReader`] and call
 ///   `finish()`, so unknown keys are rejected.
 /// - verification runs inside `run` (untimed where the app distinguishes),

@@ -1,6 +1,12 @@
 //! Migration-safety pins: each adapter must produce results bit-identical
 //! to the direct (pre-SDK) driver invoked with the same configuration, and
-//! the new apps must be deterministic across engine backends.
+//! the breadth-wave apps must be bit-deterministic across reruns.
+//!
+//! Every test takes [`serial`] first: the runner and the rerun check install
+//! a process-global tracer, which any simulation another test starts at the
+//! same time would adopt and write into.
+
+use std::sync::{Mutex, MutexGuard};
 
 use hupc_app::adapters::{
     ft_config, gups_config, stream_config, uts_config, FtWorkload, GupsWorkload, StreamWorkload,
@@ -8,15 +14,55 @@ use hupc_app::adapters::{
 };
 use hupc_app::cg::CgWorkload;
 use hupc_app::md::MdWorkload;
-use hupc_app::{run_workload, Params, Workload};
-use hupc_sim::SimBackend;
+use hupc_app::stencil2d::Stencil2dWorkload;
+use hupc_app::{run_workload, Params, Verified, Workload};
 
 fn bits(v: f64) -> u64 {
     v.to_bits()
 }
 
+/// Serializes the tests of this binary (see the module docs).
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// One direct run of `w` in its default environment, plus the full
+/// structured event log of that run (empty with tracing compiled out).
+fn run_logged(w: &dyn Workload) -> (Verified, String) {
+    let env = w.default_env();
+    #[cfg(feature = "trace")]
+    {
+        use std::sync::Arc;
+        let t = Arc::new(hupc_trace::Tracer::new(hupc_trace::TraceLevel::Full));
+        let guard = t.install();
+        let v = w.run(&env, &Params::empty()).unwrap();
+        drop(guard);
+        (v, hupc_trace::to_jsonl(&t.merge()))
+    }
+    #[cfg(not(feature = "trace"))]
+    (w.run(&env, &Params::empty()).unwrap(), String::new())
+}
+
+/// Run `w` twice on the one dispatch engine: every metric, the end virtual
+/// time and the event log must be bit-identical.
+fn assert_rerun_identical(w: &dyn Workload) {
+    let (a, log_a) = run_logged(w);
+    let (b, log_b) = run_logged(w);
+    assert!(a.passed, "{}", a.oracle);
+    assert_eq!(a.metrics.len(), b.metrics.len());
+    for ((name, x), (_, y)) in a.metrics.iter().zip(&b.metrics) {
+        assert_eq!(bits(*x), bits(*y), "metric {name} diverges between reruns");
+    }
+    assert_eq!(bits(a.end_seconds), bits(b.end_seconds));
+    assert!(log_a == log_b, "{}: event log diverges between reruns", w.name());
+    #[cfg(feature = "trace")]
+    assert!(!log_a.is_empty(), "{}: no events recorded", w.name());
+}
+
 #[test]
 fn uts_adapter_matches_direct_driver() {
+    let _serial = serial();
     let w = UtsWorkload;
     let env = w.default_env();
     let params = Params::empty();
@@ -32,6 +78,7 @@ fn uts_adapter_matches_direct_driver() {
 
 #[test]
 fn ft_adapter_matches_direct_driver() {
+    let _serial = serial();
     let w = FtWorkload;
     let env = w.default_env();
     let params = Params::empty();
@@ -45,6 +92,7 @@ fn ft_adapter_matches_direct_driver() {
 
 #[test]
 fn gups_adapter_matches_direct_driver() {
+    let _serial = serial();
     let w = GupsWorkload;
     let env = w.default_env();
     let params = Params::empty();
@@ -59,6 +107,7 @@ fn gups_adapter_matches_direct_driver() {
 
 #[test]
 fn stream_adapter_matches_direct_driver() {
+    let _serial = serial();
     let w = StreamWorkload;
     let env = w.default_env();
     let params = Params::empty();
@@ -74,6 +123,7 @@ fn stream_adapter_matches_direct_driver() {
 /// the explicit spelling of those defaults.
 #[test]
 fn explicit_defaults_equal_empty_params() {
+    let _serial = serial();
     let w = UtsWorkload;
     let env = w.default_env();
     let a = run_workload(&w, &env, &Params::empty()).unwrap();
@@ -84,39 +134,19 @@ fn explicit_defaults_equal_empty_params() {
 }
 
 #[test]
-fn md_energy_identical_across_backends() {
-    let w = MdWorkload;
-    let seq = run_workload(&w, &w.default_env().with_backend(SimBackend::Sequential), &Params::empty())
-        .unwrap();
-    let par = run_workload(&w, &w.default_env().with_backend(SimBackend::Parallel(4)), &Params::empty())
-        .unwrap();
-    assert!(seq.passed, "{}", seq.oracle);
-    assert!(par.passed, "{}", par.oracle);
-    for m in ["e0", "e_final", "energy_drift", "pairs"] {
-        assert_eq!(
-            bits(seq.metric(m).unwrap()),
-            bits(par.metric(m).unwrap()),
-            "metric {m} diverges between backends"
-        );
-    }
-    assert_eq!(bits(seq.end_seconds), bits(par.end_seconds));
+fn md_energy_identical_across_reruns() {
+    let _serial = serial();
+    assert_rerun_identical(&MdWorkload);
 }
 
 #[test]
-fn cg_residual_identical_across_backends() {
-    let w = CgWorkload;
-    let seq = run_workload(&w, &w.default_env().with_backend(SimBackend::Sequential), &Params::empty())
-        .unwrap();
-    let par = run_workload(&w, &w.default_env().with_backend(SimBackend::Parallel(4)), &Params::empty())
-        .unwrap();
-    assert!(seq.passed, "{}", seq.oracle);
-    assert!(par.passed, "{}", par.oracle);
-    for m in ["true_rel_residual", "rec_rel_residual", "nnz"] {
-        assert_eq!(
-            bits(seq.metric(m).unwrap()),
-            bits(par.metric(m).unwrap()),
-            "metric {m} diverges between backends"
-        );
-    }
-    assert_eq!(bits(seq.end_seconds), bits(par.end_seconds));
+fn cg_residual_identical_across_reruns() {
+    let _serial = serial();
+    assert_rerun_identical(&CgWorkload);
+}
+
+#[test]
+fn stencil2d_heat_identical_across_reruns() {
+    let _serial = serial();
+    assert_rerun_identical(&Stencil2dWorkload);
 }

@@ -9,10 +9,12 @@
 //!   virtual seconds (virtual time is deterministic, so that headroom is
 //!   for intentional model changes, not noise).
 //!
-//! The sweep always writes `BENCH_apps.json` in the working directory —
-//! one comparable JSON report of the whole registry.
+//! The sweep writes `BENCH_apps.json` in the working directory — one
+//! comparable JSON report of the whole registry; with `--check` the fresh
+//! report goes beside the `--csv` output instead (see
+//! `report::metrics_out`).
 
-use hupc_bench::{baseline_metrics, enforce_gates, Gate};
+use hupc_bench::{baseline_metrics, enforce_gates, write_metrics, Gate};
 
 type Experiment = (&'static str, fn(bool) -> Vec<hupc_bench::Table>);
 
@@ -53,8 +55,7 @@ fn main() {
     hupc_bench::report::emit(&args, &tables);
     eprintln!("[workload sweep done in {:.1}s]", t0.elapsed().as_secs_f64());
 
-    std::fs::write("BENCH_apps.json", m.to_json()).expect("cannot write BENCH_apps.json");
-    eprintln!("[wrote BENCH_apps.json]");
+    write_metrics(&args, "BENCH_apps.json", &m.to_json());
 
     if let Some(base) = baseline {
         let now = [m.md_seconds, m.cg_seconds, m.stencil2d_seconds];

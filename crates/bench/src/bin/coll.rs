@@ -2,27 +2,26 @@
 //! allgather and the staged barrier at Pyramid scale, plus the coalesced
 //! all-to-all on Lehman.
 //!
-//! Always writes `BENCH_coll.json` in the working directory. With
-//! `--check <baseline.json>` the run fails (exit 1) when the broadcast or
-//! allreduce speedup drops below 2x — or, on full (non `--quick`) runs,
-//! below half the committed baseline — the CI perf-smoke gate.
+//! Writes `BENCH_coll.json` in the working directory; with `--check
+//! <baseline.json>` the fresh metrics go beside the `--csv` output instead
+//! (see `report::metrics_out`), and the run fails (exit 1) when the
+//! broadcast or allreduce speedup drops below 2x — or, on full (non
+//! `--quick`) runs, below half the committed baseline — the CI perf-smoke
+//! gate.
 
-use hupc_bench::{baseline_metrics, enforce_gates, Gate};
+use hupc_bench::{baseline_metrics, enforce_gates, write_metrics, Gate};
 
 /// The gated metrics: hierarchical must stay at least 2x ahead of flat.
 const GATED: [&str; 2] = ["bcast_speedup", "allreduce_speedup"];
 
 fn main() {
     let args = hupc_bench::parse_args();
-    // Read the baseline up front: `--check BENCH_coll.json` compares
-    // against the committed file this run is about to overwrite.
     let baseline = args.check.as_ref().map(|p| baseline_metrics(p, &GATED));
 
     let (tables, metrics) = hupc_bench::exp::coll::run(args.quick);
     hupc_bench::report::emit(&args, &tables);
 
-    std::fs::write("BENCH_coll.json", metrics.to_json()).expect("cannot write BENCH_coll.json");
-    eprintln!("[wrote BENCH_coll.json]");
+    write_metrics(&args, "BENCH_coll.json", &metrics.to_json());
 
     if let Some(base) = baseline {
         let now = [metrics.bcast_speedup, metrics.allreduce_speedup];

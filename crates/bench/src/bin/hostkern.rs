@@ -1,11 +1,12 @@
 //! Host-kernel microbenchmark: SHA-1 child derivation, FFT butterflies and
 //! bulk PGAS element transfers, batched/zero-copy vs the scalar baselines.
 //!
-//! Always writes `BENCH_hostkern.json` in the working directory. With
-//! `--check <baseline.json>` the run fails (exit 1) when any headline
-//! metric fell below half the baseline's — the CI perf-smoke gate.
+//! Writes `BENCH_hostkern.json` in the working directory; with `--check
+//! <baseline.json>` the fresh metrics go beside the `--csv` output instead
+//! (see `report::metrics_out`), and the run fails (exit 1) when any
+//! headline metric fell below half the baseline's — the CI perf-smoke gate.
 
-use hupc_bench::{baseline_metrics, enforce_gates, Gate};
+use hupc_bench::{baseline_metrics, enforce_gates, write_metrics, Gate};
 
 /// The gated metrics: each must stay above half its baseline value.
 const GATED: [&str; 3] = [
@@ -16,16 +17,12 @@ const GATED: [&str; 3] = [
 
 fn main() {
     let args = hupc_bench::parse_args();
-    // Read the baseline up front: `--check BENCH_hostkern.json` compares
-    // against the committed file this run is about to overwrite.
     let baseline = args.check.as_ref().map(|p| baseline_metrics(p, &GATED));
 
     let (tables, metrics) = hupc_bench::exp::hostkern::run(args.quick);
     hupc_bench::report::emit(&args, &tables);
 
-    std::fs::write("BENCH_hostkern.json", metrics.to_json())
-        .expect("cannot write BENCH_hostkern.json");
-    eprintln!("[wrote BENCH_hostkern.json]");
+    write_metrics(&args, "BENCH_hostkern.json", &metrics.to_json());
 
     if let Some(base) = baseline {
         let now = [

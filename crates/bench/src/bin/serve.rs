@@ -2,8 +2,9 @@
 //! sharded PGAS KV service, overload shedding, and straggler tail-latency
 //! experiments.
 //!
-//! Always writes `BENCH_serve.json` in the working directory. With
-//! `--check <baseline.json>` the run fails (exit 1) when:
+//! Writes `BENCH_serve.json` in the working directory; with `--check
+//! <baseline.json>` the fresh metrics go beside the `--csv` output instead
+//! (see `report::metrics_out`), and the run fails (exit 1) when:
 //!   - sub-saturation p99 exceeds 2x the committed baseline,
 //!   - peak achieved throughput drops below half the committed baseline,
 //!   - the straggler experiment stops showing the tail-at-scale shape
@@ -12,7 +13,7 @@
 //! All times are virtual, so the gate catches semantic regressions in the
 //! serving/runtime path, independent of host speed.
 
-use hupc_bench::{baseline_metrics, enforce_gates, Gate};
+use hupc_bench::{baseline_metrics, enforce_gates, write_metrics, Gate};
 
 const GATED: [&str; 2] = ["sub_saturation_p99_us", "peak_krps"];
 
@@ -23,8 +24,7 @@ fn main() {
     let (tables, m) = hupc_bench::exp::serve::run(args.quick);
     hupc_bench::report::emit(&args, &tables);
 
-    std::fs::write("BENCH_serve.json", m.to_json()).expect("cannot write BENCH_serve.json");
-    eprintln!("[wrote BENCH_serve.json]");
+    write_metrics(&args, "BENCH_serve.json", &m.to_json());
 
     if let Some(base) = baseline {
         let (base_p99, base_peak) = (base[0], base[1]);

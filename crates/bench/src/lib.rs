@@ -14,5 +14,6 @@ pub mod exp;
 pub mod report;
 
 pub use report::{
-    baseline_metrics, check_gates, enforce_gates, json_number, parse_args, Args, Gate, Table,
+    baseline_metrics, check_gates, enforce_gates, json_number, parse_args, write_metrics, Args,
+    Gate, Table,
 };

@@ -76,6 +76,32 @@ pub fn baseline_metrics(path: &Path, keys: &[&str]) -> Vec<f64> {
         .collect()
 }
 
+/// Where a run writes its fresh metrics JSON, `default` being its
+/// `BENCH_<x>.json` name. Without `--check` that is `default` in the working
+/// directory. With `--check <path>` the run is a comparison, so the fresh
+/// metrics go next to the `--csv` output (same stem, `.json`) and never to
+/// `<path>`: a quick run must not replace the committed baseline it reads.
+/// Without `--csv` a checked run writes no metrics file.
+pub fn metrics_out(args: &Args, default: &str) -> Option<PathBuf> {
+    let Some(baseline) = &args.check else {
+        return Some(PathBuf::from(default));
+    };
+    let out = args.csv.as_ref()?.with_extension("json");
+    (out != *baseline).then_some(out)
+}
+
+/// Write a run's fresh metrics JSON where [`metrics_out`] says.
+pub fn write_metrics(args: &Args, default: &str, json: &str) {
+    match metrics_out(args, default) {
+        Some(path) => {
+            std::fs::write(&path, json)
+                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+            eprintln!("[wrote {}]", path.display());
+        }
+        None => eprintln!("[--check without --csv: fresh metrics not written]"),
+    }
+}
+
 /// One perf-smoke regression gate: a measured value against a bound.
 #[derive(Clone, Debug)]
 pub struct Gate {
@@ -281,6 +307,29 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["only-one".into()]);
+    }
+
+    #[test]
+    fn check_never_overwrites_its_baseline() {
+        let args = |csv: Option<&str>, check: Option<&str>| Args {
+            csv: csv.map(PathBuf::from),
+            check: check.map(PathBuf::from),
+            ..Args::default()
+        };
+        let out = |a: &Args| metrics_out(a, "BENCH_simcore.json");
+        // A plain run refreshes the baseline file in the working directory.
+        assert_eq!(out(&args(None, None)), Some("BENCH_simcore.json".into()));
+        assert_eq!(
+            out(&args(Some("results_simcore.csv"), None)),
+            Some("BENCH_simcore.json".into())
+        );
+        // A checked run writes beside its CSV, never to the baseline.
+        assert_eq!(
+            out(&args(Some("results_simcore.csv"), Some("BENCH_simcore.json"))),
+            Some("results_simcore.json".into())
+        );
+        assert_eq!(out(&args(None, Some("BENCH_simcore.json"))), None);
+        assert_eq!(out(&args(Some("BENCH_simcore.csv"), Some("BENCH_simcore.json"))), None);
     }
 
     #[test]

@@ -95,18 +95,6 @@ impl Conduit {
     pub fn uncontended_delivery(&self, bytes: usize) -> Time {
         self.send_overhead + self.conn_service(bytes) + self.nic_service(bytes) + self.wire_latency
     }
-
-    /// Conservative-synchronization lookahead this link class guarantees:
-    /// no message delivered over this conduit can arrive earlier than
-    /// `send time + lookahead`. The wire latency is a static floor — every
-    /// delivery adds it unconditionally, contention and send overheads only
-    /// increase the total, fault injection jitter only delays, and dropped
-    /// messages never deliver at all — so a parallel simulation partitioned
-    /// at node boundaries may dispatch events up to a neighbor's clock plus
-    /// this bound (see `hupc_sim::Simulation::set_lookahead`).
-    pub fn lookahead(&self) -> Time {
-        self.wire_latency
-    }
 }
 
 #[cfg(test)]
@@ -114,12 +102,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lookahead_is_the_static_delivery_floor() {
+    fn wire_latency_is_the_static_delivery_floor() {
         for c in [Conduit::ib_qdr(), Conduit::ib_ddr(), Conduit::gige()] {
-            assert_eq!(c.lookahead(), c.wire_latency);
             // Every component of a delivery is additive on top of the wire,
             // so no payload can undercut the floor.
-            assert!(c.uncontended_delivery(1) >= c.lookahead());
+            assert!(c.uncontended_delivery(1) >= c.wire_latency);
         }
     }
 

@@ -144,14 +144,6 @@ impl Fabric {
         &self.conduit
     }
 
-    /// Minimum inter-node delivery latency (see [`Conduit::lookahead`]):
-    /// the static floor a conservative parallel simulation may use as its
-    /// cross-partition lookahead. Holds under fault injection — jitter is
-    /// non-negative and drops never deliver.
-    pub fn lookahead(&self) -> Time {
-        self.conduit.lookahead()
-    }
-
     pub fn nodes(&self) -> usize {
         self.tx.len()
     }

@@ -14,20 +14,16 @@
 //!   (Poisson and bursty ON/OFF) — [`traffic`];
 //! - latency percentiles come from the `hupc-trace` pow2-bucket
 //!   histograms; faults (loss, jitter, stragglers, degraded NICs) from
-//!   `hupc-fault` turn into tail-latency experiments;
-//! - the queueing skeleton also runs one-LP-per-node on the parallel DES
-//!   backend — [`model`].
+//!   `hupc-fault` turn into tail-latency experiments.
 //!
 //! Two invariant families are exported for the test wave: byte-level
 //! schedule determinism ([`traffic::encode_schedule`]) and the
 //! linearizability-lite oracle ([`service::verify_linearizable_lite`]).
 
-pub mod model;
 pub mod service;
 pub mod shard;
 pub mod traffic;
 
-pub use model::{run_model, ModelConfig, ModelResult};
 pub use service::{
     run_serve, run_serve_prepared, verify_linearizable_lite, Outcome, ReqRecord, ServeConfig,
     ServeResult,

@@ -3,17 +3,13 @@
 //! Open-loop serving is only a measurement instrument if it is repeatable:
 //! the same seed must reproduce the same arrival schedule byte-for-byte,
 //! the same request log, the same end state, and the same latency
-//! histogram — fault-free and under fault plans. The multi-LP model must
-//! additionally agree across simulation backends (the cross-backend pin
-//! also lives in crates/check/tests/parallel_equivalence.rs alongside the
-//! other scenarios).
+//! histogram — fault-free and under fault plans.
 
 use hupc_fault::FaultPlan;
 use hupc_serve::{
-    encode_schedule, run_model, run_serve, verify_linearizable_lite, ModelConfig, Outcome,
-    ServeConfig, ShardMap,
+    encode_schedule, run_serve, verify_linearizable_lite, Outcome, ServeConfig, ShardMap,
 };
-use hupc_sim::{time, SimBackend};
+use hupc_sim::time;
 
 #[test]
 fn schedules_are_byte_identical_across_generations() {
@@ -118,37 +114,24 @@ fn pgas_shedding_bounds_queueing_delay() {
 }
 
 #[test]
-fn model_agrees_across_sequential_and_parallel_backends() {
-    let base = run_model(ModelConfig::small(77, SimBackend::Sequential));
-    assert_eq!(base.completed, base.generated);
-    for workers in [1usize, 2, 4] {
-        let par = run_model(ModelConfig::small(77, SimBackend::Parallel(workers)));
-        assert_eq!(par.log, base.log, "request log diverged at {workers} workers");
-        assert_eq!(par.hist, base.hist);
-        assert_eq!(par.end_time, base.end_time);
-        assert_eq!(
-            (par.generated, par.completed, par.shed),
-            (base.generated, base.completed, base.shed)
-        );
-    }
-}
-
-#[test]
 fn bursty_arrivals_fatten_the_tail_at_equal_mean_load() {
     // Same mean gap (≈10µs/request): Poisson vs ON/OFF bursts of 10, at a
-    // utilization high enough (service 6µs vs mean gap 10µs per frontend)
-    // that burst coincidence actually queues.
-    let mut poisson = ModelConfig::small(55, SimBackend::Sequential);
+    // utilization high enough (6µs owner-side apply vs mean gap 10µs per
+    // frontend) that burst coincidence actually queues.
+    let mut poisson = ServeConfig::small(55);
+    poisson.traffic.process = hupc_serve::ArrivalProcess::Poisson {
+        mean_gap: time::us(10),
+    };
     poisson.traffic.requests_per_frontend = 400;
-    poisson.service_ns = 6_000;
+    poisson.apply_ns = 6_000;
     let mut bursty = poisson.clone();
     bursty.traffic.process = hupc_serve::ArrivalProcess::OnOff {
         on_gap: time::us(1),
         off_gap: time::us(91),
         burst_len: 10,
     };
-    let p = run_model(poisson);
-    let b = run_model(bursty);
+    let p = run_serve(poisson);
+    let b = run_serve(bursty);
     assert!(
         b.hist.p999() > p.hist.p999(),
         "bursty p999 {} must exceed poisson p999 {}",

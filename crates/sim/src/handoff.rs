@@ -15,9 +15,7 @@
 //! space, with no futex sleep. Only if the token does not arrive within
 //! the burst does the waiter take the mutex and park on the condvar. Each
 //! `Handoff` has exactly one consumer, so consuming the token needs no CAS
-//! loop. (The parallel backend's *worker* threads rendezvous differently:
-//! they block on the shared kernel's condvar waiting for LBTS to advance —
-//! see `engine::worker_loop`.)
+//! loop.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};

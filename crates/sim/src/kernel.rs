@@ -177,10 +177,6 @@ fn park_code(on: BlockKind) -> u64 {
 pub(crate) struct ActorMeta {
     pub name: String,
     pub status: ActorStatus,
-    /// The logical process this actor lives on. Its wake/timeout events are
-    /// queued there and (under the parallel backend) it only ever runs on
-    /// the worker thread owning that LP.
-    pub lp: usize,
     /// Completed when the actor finishes; joiners wait on it.
     pub exit: CompletionId,
     /// What the actor is blocked on, for timeouts and deadlock diagnostics.
@@ -268,11 +264,6 @@ struct ResourceState {
 struct CompletionState {
     done: bool,
     waiters: Vec<ActorId>,
-    /// Home LP: `Complete` events dispatch here, and firing wakes waiters at
-    /// the current instant — so waiters must live on the same LP (a
-    /// cross-LP waiter would need a zero-latency wake, which the partition
-    /// contract forbids).
-    lp: usize,
 }
 
 #[derive(Debug, Default)]
@@ -290,69 +281,6 @@ struct BarrierState {
 struct MutexState {
     owner: Option<ActorId>,
     queue: Vec<ActorId>,
-}
-
-/// Per-LP half of the split event queue plus the LP's private clock.
-///
-/// With one logical process (the default) this is exactly the old global
-/// queue: `near`/`far` hold every event and `now` mirrors the kernel clock.
-/// With `set_lp_count(k)` the simulation is partitioned: each LP owns the
-/// events that target its actors (and completions homed on it), advances its
-/// own clock, and draws sequence numbers from its own counter so numbering
-/// never depends on cross-LP interleaving.
-#[derive(Debug, Default)]
-struct LpQueue {
-    /// Near bucket: events at `time == now` *pushed by this LP*, in push
-    /// (= sequence) order. Cross-LP arrivals always go to `far` — their
-    /// sequence numbers come from the sender's counter and would break the
-    /// bucket's FIFO-by-seq invariant.
-    near: VecDeque<Event>,
-    /// Everything else targeting this LP.
-    far: BinaryHeap<Reverse<Event>>,
-    /// Local sequence counter; global seq = `lseq * num_lps + lp`, which
-    /// reduces to today's single counter when there is one LP.
-    lseq: u64,
-    /// Local actor-id counter: actors registered *by* this LP (wherever
-    /// they are homed) get id `actor_lid * num_lps + lp`. Allocating from
-    /// the spawner's counter keeps ids deterministic under the parallel
-    /// backend — a single LP's actions are serial, while a shared global
-    /// counter would hand out ids in host-timing order.
-    actor_lid: u64,
-    /// Local completion-id counter; same packing and rationale as
-    /// `actor_lid`.
-    comp_lid: u64,
-    /// The LP's private virtual clock (last event it processed).
-    now: Time,
-    /// A worker is currently executing one of this LP's events (parallel
-    /// backend only); the LP's lower-bound contribution is then `now`.
-    busy: bool,
-}
-
-impl LpQueue {
-    /// Head of this LP's queue by `(time, seq)`, and whether it sits in the
-    /// far heap.
-    fn head(&self) -> Option<(Time, u64, bool)> {
-        match (self.near.front(), self.far.peek()) {
-            (Some(n), Some(Reverse(f))) => {
-                if (f.time, f.seq) < (n.time, n.seq) {
-                    Some((f.time, f.seq, true))
-                } else {
-                    Some((n.time, n.seq, false))
-                }
-            }
-            (Some(n), None) => Some((n.time, n.seq, false)),
-            (None, Some(Reverse(f))) => Some((f.time, f.seq, true)),
-            (None, None) => None,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.near.is_empty() && self.far.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.near.len() + self.far.len()
-    }
 }
 
 /// One processed scheduler event, as recorded by the optional event log
@@ -383,24 +311,15 @@ pub enum TraceKind {
 /// [`crate::Ctx::with_kernel`] (from inside an actor).
 pub struct Kernel {
     now: Time,
-    /// Split event queues, one per logical process. `lps[0]` alone exists by
-    /// default; [`Kernel::set_lp_count`] partitions the simulation. Each
-    /// LP's near bucket holds events scheduled *at* its current time in push
-    /// (= sequence) order — `wake_at(now, ..)`, every completion fire, mutex
-    /// handover and cond notify land there, making the hot-path insert and
-    /// pop O(1) instead of a heap churn.
-    lps: Vec<LpQueue>,
-    /// The LP whose context is active: the LP of the running actor, or of
-    /// the event being dispatched. Sequence numbers are drawn from its
-    /// counter and `set_now` advances its clock.
-    cur_lp: usize,
-    /// Minimum cross-LP event latency (the conservative-synchronization
-    /// lookahead). Every cross-LP push must be at least this far in the
-    /// sender's future; `hupc-net` link latencies provide the static floor.
-    lookahead: Time,
-    /// Parallel backend active: `now` tracks the *current LP's* clock (set
-    /// on `enter_lp`) instead of a single global clock.
-    parallel: bool,
+    /// Near bucket of the split event queue: events scheduled *at* `now`,
+    /// in push (= sequence) order. `wake_at(now, ..)`, every completion
+    /// fire, mutex handover and cond notify land here, making the hot-path
+    /// insert and pop O(1) instead of a heap churn.
+    near: VecDeque<Event>,
+    /// Far half: every event scheduled past `now` at push time.
+    far: BinaryHeap<Reverse<Event>>,
+    /// Next event sequence number.
+    next_seq: u64,
     events_processed: u64,
     resources: Vec<ResourceState>,
     completions: Vec<CompletionState>,
@@ -408,10 +327,7 @@ pub struct Kernel {
     barriers: Vec<BarrierState>,
     mutexes: Vec<MutexState>,
     pub(crate) actors: Vec<ActorMeta>,
-    /// Actors actually registered; `actors.len()` minus placeholder holes.
-    registered_actors: usize,
     pub(crate) live_actors: usize,
-    pub(crate) trace: bool,
     /// Scheduler-bypass fast path enabled for this kernel (defaults to the
     /// process-wide [`fast_path_default`]).
     fast_path: bool,
@@ -444,10 +360,9 @@ impl Kernel {
     pub(crate) fn new() -> Self {
         Kernel {
             now: 0,
-            lps: vec![LpQueue::default()],
-            cur_lp: 0,
-            lookahead: 0,
-            parallel: false,
+            near: VecDeque::new(),
+            far: BinaryHeap::new(),
+            next_seq: 0,
             events_processed: 0,
             resources: Vec::new(),
             completions: Vec::new(),
@@ -455,9 +370,7 @@ impl Kernel {
             barriers: Vec::new(),
             mutexes: Vec::new(),
             actors: Vec::new(),
-            registered_actors: 0,
             live_actors: 0,
-            trace: false,
             fast_path: fast_path_default(),
             fast_path_hits: 0,
             handoffs: 0,
@@ -553,110 +466,6 @@ impl Kernel {
         self.fast_path
     }
 
-    // ----- logical processes (conservative parallel partitioning) ---------
-
-    /// Partition the simulation into `k` logical processes. Must be called
-    /// before any actor is spawned or event scheduled: sequence numbers are
-    /// packed as `lseq * k + lp`, so the count cannot change once numbering
-    /// has started. Each actor lives on exactly one LP (see
-    /// `Simulation::spawn_on`); intra-LP events need no synchronization, and
-    /// cross-LP events must honor the [`Kernel::set_lookahead`] floor.
-    pub fn set_lp_count(&mut self, k: usize) {
-        assert!(k >= 1, "need at least one logical process");
-        assert!(
-            self.actors.is_empty()
-                && self.completions.is_empty()
-                && self.events_processed == 0
-                && self.lps.iter().all(|q| q.is_empty() && q.lseq == 0),
-            "set_lp_count must be called before any spawn, completion or event"
-        );
-        self.lps = (0..k).map(|_| LpQueue::default()).collect();
-        self.cur_lp = 0;
-    }
-
-    /// Number of logical processes (1 unless partitioned).
-    pub fn num_lps(&self) -> usize {
-        self.lps.len()
-    }
-
-    /// Set the cross-LP lookahead: the minimum virtual-time distance of any
-    /// event one LP schedules onto another. The network model's minimum
-    /// inter-node wire latency is the natural value (`Fabric::lookahead`).
-    /// Cross-LP pushes closer than this panic — in *both* backends, so a
-    /// partitioning bug cannot hide behind the sequential oracle.
-    pub fn set_lookahead(&mut self, l: Time) {
-        self.lookahead = l;
-    }
-
-    /// Current cross-LP lookahead.
-    pub fn lookahead(&self) -> Time {
-        self.lookahead
-    }
-
-    /// Switch `now` bookkeeping to per-LP clocks (parallel backend) or back.
-    pub(crate) fn set_parallel_mode(&mut self, on: bool) {
-        self.parallel = on;
-    }
-
-    /// Make `lp` the active context: subsequent sequence numbers come from
-    /// its counter and (in parallel mode) `now()` reads its private clock.
-    /// In sequential mode the global clock stands — whenever an actor is
-    /// running, its LP's clock equals the global clock by construction.
-    pub(crate) fn enter_lp(&mut self, lp: usize) {
-        debug_assert!(lp < self.lps.len(), "LP {lp} out of range");
-        self.cur_lp = lp;
-        if self.parallel {
-            self.now = self.lps[lp].now;
-        }
-    }
-
-    /// The LP owning actor `a`.
-    pub(crate) fn actor_lp(&self, a: ActorId) -> usize {
-        self.actors[a].lp
-    }
-
-    /// Total pending events across every LP.
-    pub(crate) fn pending_events(&self) -> usize {
-        self.lps.iter().map(LpQueue::len).sum()
-    }
-
-    /// Whether any LP is mid-event on a worker (parallel backend).
-    pub(crate) fn any_lp_busy(&self) -> bool {
-        self.lps.iter().any(|q| q.busy)
-    }
-
-    /// Largest per-LP clock — the end time of a parallel run (equals the
-    /// global clock after a sequential run).
-    pub(crate) fn max_lp_now(&self) -> Time {
-        self.lps.iter().map(|q| q.now).max().unwrap_or(self.now)
-    }
-
-    /// This LP's contribution to every other LP's safe-time bound: its clock
-    /// while a worker is executing one of its events, else its queue head
-    /// (an idle, empty LP constrains nobody — any event it will ever process
-    /// must first be pushed by some other LP, whose own floor covers it).
-    fn lp_floor(&self, lp: usize) -> Time {
-        let q = &self.lps[lp];
-        if q.busy {
-            q.now
-        } else {
-            q.head().map_or(Time::MAX, |(t, _, _)| t)
-        }
-    }
-
-    /// Lower-bound timestamp for `lp`: no event earlier than this can ever
-    /// arrive from another LP. Computed under the kernel lock, so every
-    /// already-sent event is visible in some queue and every future send
-    /// is bounded below by its sender's floor plus the lookahead.
-    pub(crate) fn lbts(&self, lp: usize) -> Time {
-        let l = self.lookahead;
-        (0..self.lps.len())
-            .filter(|&i| i != lp)
-            .map(|i| self.lp_floor(i).saturating_add(l))
-            .min()
-            .unwrap_or(Time::MAX)
-    }
-
     /// Start recording every processed event (including bypassed ones) into
     /// an in-memory log; retrieve it with [`Kernel::take_event_log`].
     pub fn record_event_log(&mut self, on: bool) {
@@ -664,17 +473,8 @@ impl Kernel {
     }
 
     /// Take the recorded event log (empty if recording was never enabled).
-    /// With multiple LPs the log is normalized to `(time, seq)` order: the
-    /// parallel backend appends in real-time completion order, and even the
-    /// sequential backend's per-LP clocks admit same-instant cross-LP ties
-    /// in either lock order — the sort makes logs comparable across
-    /// backends, which is exactly what the equivalence tests need.
     pub fn take_event_log(&mut self) -> Vec<TraceEvent> {
-        let mut log = self.event_log.take().unwrap_or_default();
-        if self.lps.len() > 1 {
-            log.sort_unstable_by_key(|e| (e.time, e.seq));
-        }
-        log
+        self.event_log.take().unwrap_or_default()
     }
 
     pub(crate) fn log_event(&mut self, time: Time, seq: u64, kind: EventKind) {
@@ -701,156 +501,69 @@ impl Kernel {
     }
 
     pub(crate) fn set_now(&mut self, t: Time) {
-        debug_assert!(
-            t >= self.lps[self.cur_lp].now,
-            "virtual time must be monotone per LP"
-        );
-        debug_assert!(
-            self.parallel || t >= self.now,
-            "virtual time must be monotone"
-        );
-        self.lps[self.cur_lp].now = t;
+        debug_assert!(t >= self.now, "virtual time must be monotone");
         self.now = t;
         self.events_processed += 1;
     }
 
-    /// Which LP an event targets: the actor's home LP for wakes and
-    /// timeouts, the completion's home LP for completes.
-    fn target_lp(&self, kind: EventKind) -> usize {
-        match kind {
-            EventKind::Wake(a) | EventKind::Timeout(a, _) => self.actors[a].lp,
-            EventKind::Complete(c) => self.completions[c.0].lp,
-        }
-    }
-
     pub(crate) fn push_event(&mut self, time: Time, kind: EventKind) {
-        let cur = self.cur_lp;
-        let target = self.target_lp(kind);
-        if target == cur {
-            debug_assert!(
-                time >= self.lps[cur].now,
-                "cannot schedule into the past"
-            );
-        } else {
-            // The partition contract, enforced identically in both backends:
-            // an LP may only reach into another LP's future by at least the
-            // lookahead — that slack is what makes conservative parallel
-            // execution (and the LBTS bound) sound.
-            assert!(
-                time >= self.lps[cur].now.saturating_add(self.lookahead),
-                "cross-LP event from LP {cur} (now {}) to LP {target} at {} \
-                 violates the lookahead floor of {}",
-                crate::time::format(self.lps[cur].now),
-                crate::time::format(time),
-                crate::time::format(self.lookahead),
-            );
-        }
-        let seq = self.lps[cur].lseq * self.lps.len() as u64 + cur as u64;
-        self.lps[cur].lseq += 1;
-        let ev = Event { time, seq, kind };
-        if target == cur && time == self.lps[cur].now {
-            // Near bucket: all entries share `time == now` (the LP's clock
-            // cannot advance past a pending now-event, so the bucket drains
-            // before `now` moves) and FIFO order is sequence order — both
-            // hold only for the LP's own pushes, so cross-LP events always
-            // take the far heap.
-            self.lps[cur].near.push_back(ev);
+        debug_assert!(time >= self.now, "cannot schedule into the past");
+        let ev = Event {
+            time,
+            seq: self.next_seq,
+            kind,
+        };
+        self.next_seq += 1;
+        if time == self.now {
+            // Near bucket: all entries share `time == now` (the clock cannot
+            // advance past a pending now-event, so the bucket drains before
+            // `now` moves) and FIFO order is sequence order.
+            self.near.push_back(ev);
         } else {
             self.heap_ops += 1;
-            self.lps[target].far.push(Reverse(ev));
+            self.far.push(Reverse(ev));
         }
     }
 
-    /// Pop the globally earliest pending event by `(time, seq)` — the
-    /// sequential backend's dispatch source. Returns the owning LP so the
-    /// engine can enter its context before processing.
-    pub(crate) fn pop_event(&mut self) -> Option<(usize, Event)> {
+    /// Pop the earliest pending event by `(time, seq)`.
+    pub(crate) fn pop_event(&mut self) -> Option<Event> {
         if self.policy.is_some() {
             return self.pop_event_policy();
         }
-        let mut best: Option<(usize, Time, u64, bool)> = None;
-        for (i, q) in self.lps.iter().enumerate() {
-            if let Some((t, s, far)) = q.head() {
-                if best.map_or(true, |(_, bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((i, t, s, far));
-                }
-            }
-        }
-        let (lp, _, _, take_far) = best?;
-        let ev = if take_far {
-            self.heap_ops += 1;
-            self.lps[lp].far.pop().map(|Reverse(e)| e)
-        } else {
-            self.lps[lp].near.pop_front()
+        let take_far = match (self.near.front(), self.far.peek()) {
+            (Some(n), Some(Reverse(f))) => (f.time, f.seq) < (n.time, n.seq),
+            (None, Some(_)) => true,
+            (_, None) => false,
         };
-        ev.map(|e| (lp, e))
-    }
-
-    /// Pop the earliest *safe* event among `owned` LPs for a parallel
-    /// worker: the head must beat every other LP's lower bound (its clock if
-    /// a worker is inside it, else its queue head) plus the lookahead — the
-    /// null-message guarantee that nothing earlier can still arrive. On
-    /// success the LP is marked busy (its floor freezes at the event time)
-    /// until the engine calls [`Kernel::finish_lp`].
-    pub(crate) fn pop_safe(&mut self, owned: &[usize]) -> Option<(usize, Event)> {
-        debug_assert!(self.policy.is_none(), "policy runs on the sequential path");
-        let mut best: Option<(usize, Time, u64, bool)> = None;
-        for &i in owned {
-            let q = &self.lps[i];
-            if q.busy {
-                continue; // a worker is mid-event on this LP
-            }
-            if let Some((t, s, far)) = q.head() {
-                if best.map_or(true, |(_, bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((i, t, s, far));
-                }
-            }
-        }
-        let (lp, t, _, take_far) = best?;
-        if t >= self.lbts(lp) {
-            return None; // not yet safe; wait for neighbors to advance
-        }
-        self.lps[lp].busy = true;
-        let ev = if take_far {
+        if take_far {
             self.heap_ops += 1;
-            self.lps[lp].far.pop().map(|Reverse(e)| e)
+            self.far.pop().map(|Reverse(e)| e)
         } else {
-            self.lps[lp].near.pop_front()
-        };
-        ev.map(|e| (lp, e))
-    }
-
-    /// Release an LP a worker finished processing an event on.
-    pub(crate) fn finish_lp(&mut self, lp: usize) {
-        debug_assert!(self.lps[lp].busy);
-        self.lps[lp].busy = false;
+            self.near.pop_front()
+        }
     }
 
     /// Policy-mediated pop: gather every event tied at the earliest pending
     /// time, let the [`SchedulePolicy`] pick one, and reinsert the rest with
     /// their original sequence numbers (so the un-chosen members of the tie
     /// keep their identity for later decision points).
-    fn pop_event_policy(&mut self) -> Option<(usize, Event)> {
+    fn pop_event_policy(&mut self) -> Option<Event> {
         let t = self.earliest_pending()?;
-        let mut ready: Vec<(usize, Event)> = Vec::new();
-        for lp in 0..self.lps.len() {
-            while self.lps[lp].far.peek().is_some_and(|Reverse(f)| f.time == t) {
-                self.heap_ops += 1;
-                let e = self.lps[lp].far.pop().map(|Reverse(e)| e).unwrap();
-                ready.push((lp, e));
-            }
-            // Near entries all share the LP's `now`; they tie only at it.
-            while self.lps[lp].near.front().is_some_and(|n| n.time == t) {
-                ready.push((lp, self.lps[lp].near.pop_front().unwrap()));
-            }
+        let mut ready: Vec<Event> = Vec::new();
+        while self.far.peek().is_some_and(|Reverse(f)| f.time == t) {
+            self.heap_ops += 1;
+            ready.push(self.far.pop().map(|Reverse(e)| e).unwrap());
         }
-        // Cross-LP sequence numbers interleave counters, so seq order needs
-        // an explicit sort (a no-op for the single-LP fast case).
-        ready.sort_unstable_by_key(|(_, e)| e.seq);
+        // Near entries all share `now`; they tie only at it.
+        while self.near.front().is_some_and(|n| n.time == t) {
+            ready.push(self.near.pop_front().unwrap());
+        }
+        // The policy sees the tie in sequence order (its contract).
+        ready.sort_unstable_by_key(|e| e.seq);
         let choice = if ready.len() > 1 {
             let view: Vec<ReadyEvent> = ready
                 .iter()
-                .map(|(_, e)| ReadyEvent {
+                .map(|e| ReadyEvent {
                     time: e.time,
                     seq: e.seq,
                     kind: match e.kind {
@@ -871,53 +584,35 @@ impl Kernel {
         } else {
             0
         };
-        let (lp, ev) = ready.remove(choice);
-        let k = self.lps.len() as u64;
-        for (l, e) in ready {
-            // Ties at the LP's own clock that the LP itself pushed go back
-            // to its near bucket — fully drained above, and reinsertion in
-            // seq order keeps its FIFO-by-seq invariant (the LP's own future
-            // pushes carry strictly larger seqs). Everything else, including
-            // any cross-LP arrival, returns to the far heap.
-            if e.time == self.lps[l].now && e.seq % k == l as u64 {
-                self.lps[l].near.push_back(e);
+        let ev = ready.remove(choice);
+        for e in ready {
+            // Ties at the current clock go back to the near bucket — fully
+            // drained above, and reinsertion in seq order keeps its
+            // FIFO-by-seq invariant (future pushes carry strictly larger
+            // seqs). Everything else returns to the far heap.
+            if e.time == self.now {
+                self.near.push_back(e);
             } else {
                 self.heap_ops += 1;
-                self.lps[l].far.push(Reverse(e));
+                self.far.push(Reverse(e));
             }
         }
-        Some((lp, ev))
+        Some(ev)
     }
 
-    /// Time of the earliest pending event across every LP, if any.
+    /// Time of the earliest pending event, if any.
     fn earliest_pending(&self) -> Option<Time> {
-        self.lps
-            .iter()
-            .filter_map(|q| q.head().map(|(t, _, _)| t))
-            .min()
-    }
-
-    /// Time of the earliest pending event targeting `lp`, if any.
-    fn lp_earliest(&self, lp: usize) -> Option<Time> {
-        self.lps[lp].head().map(|(t, _, _)| t)
+        let near = self.near.front().map(|e| e.time);
+        let far = self.far.peek().map(|Reverse(e)| e.time);
+        near.into_iter().chain(far).min()
     }
 
     /// Whether an actor resuming itself at `t` may take the scheduler-bypass
     /// fast path: its wake must be *strictly* earlier than every pending
     /// event. (An existing event at the same time holds a smaller sequence
-    /// number and must run first, so ties disqualify.) Under the parallel
-    /// backend only the actor's own LP and the cross-LP safe-time bound
-    /// matter — other LPs' queues are causally separated by the lookahead.
+    /// number and must run first, so ties disqualify.)
     pub(crate) fn bypass_eligible(&self, t: Time) -> bool {
-        if !self.fast_path {
-            return false;
-        }
-        if self.parallel {
-            self.lp_earliest(self.cur_lp).map_or(true, |p| t < p)
-                && t < self.lbts(self.cur_lp)
-        } else {
-            self.earliest_pending().map_or(true, |p| t < p)
-        }
+        self.fast_path && self.earliest_pending().map_or(true, |p| t < p)
     }
 
     /// Process an actor's own wake inline: consume the sequence number the
@@ -928,14 +623,9 @@ impl Kernel {
     pub(crate) fn bypass_resume(&mut self, actor: ActorId, t: Time) {
         // Bugfix-by-construction: taking the fast path while any other event
         // is pending at an earlier-or-equal (time, sequence) would silently
-        // reorder the schedule — fail loudly instead. (Under the parallel
-        // backend the bound is per-LP: other LPs are lookahead-separated.)
+        // reorder the schedule — fail loudly instead.
         debug_assert!(
-            if self.parallel {
-                self.lp_earliest(self.cur_lp).map_or(true, |p| t < p)
-            } else {
-                self.earliest_pending().map_or(true, |p| t < p)
-            },
+            self.earliest_pending().map_or(true, |p| t < p),
             "fast path taken at t={t} while an earlier event is pending"
         );
         debug_assert_eq!(
@@ -943,21 +633,10 @@ impl Kernel {
             ActorStatus::Running,
             "fast path requires the calling actor to be the running actor"
         );
-        debug_assert_eq!(
-            self.actors[actor].lp, self.cur_lp,
-            "fast path requires the current LP context to be the actor's"
-        );
-        let cur = self.cur_lp;
-        let seq = self.lps[cur].lseq * self.lps.len() as u64 + cur as u64;
-        self.lps[cur].lseq += 1;
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.actors[actor].wake_epoch += 1; // voids outstanding timeouts
         self.actors[actor].note(RecentOp::Bypassed(t));
-        if self.trace {
-            eprintln!(
-                "[sim t={}] Wake({actor}) [bypass]",
-                crate::time::format(t)
-            );
-        }
         self.log_event(t, seq, EventKind::Wake(actor));
         #[cfg(feature = "trace")]
         self.temit(t, actor, hupc_trace::EventKind::FastPathBypass, seq, 0);
@@ -1085,67 +764,16 @@ impl Kernel {
 
     // ----- completions ----------------------------------------------------
 
-    /// Create a fresh not-yet-done completion, homed on the current LP.
-    ///
-    /// The id is allocated from the current LP's private counter (packed as
-    /// `lid * num_lps + lp`, like event sequence numbers), so completion
-    /// ids are deterministic even when LPs allocate concurrently. With one
-    /// LP this is the plain dense counter it always was.
+    /// Create a fresh not-yet-done completion.
     pub fn new_completion(&mut self) -> CompletionId {
-        let k = self.lps.len();
-        let lp = self.cur_lp;
-        let lid = self.lps[lp].comp_lid;
-        self.lps[lp].comp_lid += 1;
-        let id = lid as usize * k + lp;
-        if self.completions.len() <= id {
-            // Uneven allocation across LPs leaves holes; fill with inert
-            // already-done placeholders nothing can reference.
-            self.completions.resize_with(id + 1, || CompletionState {
-                done: true,
-                waiters: Vec::new(),
-                lp: 0,
-            });
-        }
-        self.completions[id] = CompletionState {
-            done: false,
-            waiters: Vec::new(),
-            lp: self.cur_lp,
-        };
-        CompletionId(id)
+        self.completions.push(CompletionState::default());
+        CompletionId(self.completions.len() - 1)
     }
 
-    /// Allocate an actor id from the current LP's private counter (same
-    /// packing as [`Kernel::new_completion`]) and install `meta` there.
-    /// Slot-table holes left by uneven cross-LP allocation are inert
-    /// finished placeholders.
+    /// Install `meta` under the next dense actor id.
     pub(crate) fn alloc_actor(&mut self, meta: ActorMeta) -> ActorId {
-        let k = self.lps.len();
-        let lp = self.cur_lp;
-        let lid = self.lps[lp].actor_lid;
-        self.lps[lp].actor_lid += 1;
-        let id = lid as usize * k + lp;
-        if self.actors.len() <= id {
-            self.actors.resize_with(id + 1, || ActorMeta {
-                name: String::new(),
-                status: ActorStatus::Finished,
-                lp: 0,
-                exit: CompletionId(usize::MAX),
-                blocked_on: BlockKind::Start,
-                wake_epoch: 0,
-                timed_out: false,
-                blocked_since: 0,
-                recent: std::collections::VecDeque::new(),
-            });
-        }
-        self.actors[id] = meta;
-        self.registered_actors += 1;
-        id
-    }
-
-    /// Number of actors actually registered (the slot table may be longer:
-    /// uneven per-LP id allocation leaves placeholder holes).
-    pub fn registered_actors(&self) -> usize {
-        self.registered_actors
+        self.actors.push(meta);
+        self.actors.len() - 1
     }
 
     /// Schedule `comp` to become done at `time`.
@@ -1471,8 +1099,7 @@ impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
             .field("now", &self.now)
-            .field("lps", &self.lps.len())
-            .field("pending_events", &self.pending_events())
+            .field("pending_events", &(self.near.len() + self.far.len()))
             .field("actors", &self.actors.len())
             .field("live_actors", &self.live_actors)
             .field("resources", &self.resources.len())
@@ -1484,22 +1111,16 @@ impl std::fmt::Debug for Kernel {
 mod tests {
     use super::*;
 
-    /// Register `n` completions so tests can push `Complete` events (which
-    /// need a home LP to route by).
-    fn completions(k: &mut Kernel, n: usize) -> Vec<CompletionId> {
-        (0..n).map(|_| k.new_completion()).collect()
-    }
-
     #[test]
     fn event_ordering_is_time_then_seq() {
         let mut k = Kernel::new();
-        let c = completions(&mut k, 3);
+        let c = [CompletionId(0), CompletionId(1), CompletionId(2)];
         k.push_event(10, EventKind::Complete(c[0]));
         k.push_event(5, EventKind::Complete(c[1]));
         k.push_event(5, EventKind::Complete(c[2]));
-        assert_eq!(k.pop_event().unwrap().1.kind, EventKind::Complete(c[1]));
-        assert_eq!(k.pop_event().unwrap().1.kind, EventKind::Complete(c[2]));
-        assert_eq!(k.pop_event().unwrap().1.kind, EventKind::Complete(c[0]));
+        assert_eq!(k.pop_event().unwrap().kind, EventKind::Complete(c[1]));
+        assert_eq!(k.pop_event().unwrap().kind, EventKind::Complete(c[2]));
+        assert_eq!(k.pop_event().unwrap().kind, EventKind::Complete(c[0]));
         assert!(k.pop_event().is_none());
     }
 
@@ -1539,153 +1160,49 @@ mod tests {
         // events pushed at now=5 (it has the smaller sequence number), and
         // bucket events pop FIFO among themselves.
         let mut k = Kernel::new();
-        let c = completions(&mut k, 5);
+        let c: Vec<CompletionId> = (0..5).map(CompletionId).collect();
         k.push_event(5, EventKind::Complete(c[0])); // far, seq 0
         k.push_event(3, EventKind::Complete(c[1])); // far, seq 1
-        let (_, e) = k.pop_event().unwrap();
+        let e = k.pop_event().unwrap();
         assert_eq!(e.kind, EventKind::Complete(c[1]));
         k.set_now(e.time);
-        let (_, e) = k.pop_event().unwrap();
+        let e = k.pop_event().unwrap();
         assert_eq!(e.kind, EventKind::Complete(c[0]));
         k.set_now(e.time); // now = 5
         k.push_event(5, EventKind::Complete(c[2])); // bucket
         k.push_event(5, EventKind::Complete(c[3])); // bucket
         k.push_event(9, EventKind::Complete(c[4])); // far
-        assert_eq!(k.pop_event().unwrap().1.kind, EventKind::Complete(c[2]));
-        assert_eq!(k.pop_event().unwrap().1.kind, EventKind::Complete(c[3]));
-        assert_eq!(k.pop_event().unwrap().1.kind, EventKind::Complete(c[4]));
+        assert_eq!(k.pop_event().unwrap().kind, EventKind::Complete(c[2]));
+        assert_eq!(k.pop_event().unwrap().kind, EventKind::Complete(c[3]));
+        assert_eq!(k.pop_event().unwrap().kind, EventKind::Complete(c[4]));
         assert!(k.pop_event().is_none());
     }
 
     #[test]
     fn near_far_boundary_is_exact() {
-        // The near window is zero-width: an event at exactly the LP's `now`
-        // lands in the near bucket, one nanosecond later goes to the heap.
-        // Pinned at the boundary and boundary+1 because the bucket's FIFO
-        // invariant only holds for events *at* the current instant.
+        // The near window is zero-width: an event at exactly `now` lands in
+        // the near bucket, one nanosecond later goes to the heap. Pinned at
+        // the boundary and boundary+1 because the bucket's FIFO invariant
+        // only holds for events *at* the current instant.
         let mut k = Kernel::new();
-        let c = completions(&mut k, 3);
-        let (_, e) = {
-            k.push_event(7, EventKind::Complete(c[0]));
-            k.pop_event().unwrap()
-        };
+        let c: Vec<CompletionId> = (0..3).map(CompletionId).collect();
+        k.push_event(7, EventKind::Complete(c[0]));
+        let e = k.pop_event().unwrap();
         k.set_now(e.time); // now = 7
         let heap_before = k.heap_ops;
         k.push_event(7, EventKind::Complete(c[1])); // boundary: near
         assert_eq!(k.heap_ops, heap_before, "event at now must take the near bucket");
-        assert_eq!(k.lps[0].near.len(), 1);
+        assert_eq!((k.near.len(), k.far.len()), (1, 0));
         k.push_event(8, EventKind::Complete(c[2])); // boundary+1: far
         assert_eq!(k.heap_ops, heap_before + 1, "event at now+1 must take the far heap");
-        assert_eq!(k.lps[0].far.len(), 1);
-    }
-
-    #[test]
-    fn near_far_boundary_is_per_lp_and_cross_lp_goes_far() {
-        // Under partitioning the boundary is the *LP's own* clock, and a
-        // cross-LP push never takes the near bucket even when it ties the
-        // target's clock — its sender-drawn seq would break FIFO-by-seq.
-        let mut k = Kernel::new();
-        k.set_lp_count(2);
-        k.set_lookahead(5);
-        k.enter_lp(0);
-        let c0 = k.new_completion(); // homed on LP 0
-        k.enter_lp(1);
-        let c1 = k.new_completion(); // homed on LP 1
-        let c1b = k.new_completion(); // homed on LP 1
-
-        // LP 1 schedules onto itself at its own now (= 0): near.
-        k.push_event(0, EventKind::Complete(c1));
-        assert_eq!(k.lps[1].near.len(), 1);
-        // ... and at now+1: far.
-        k.push_event(1, EventKind::Complete(c1b));
-        assert_eq!(k.lps[1].far.len(), 1);
-
-        // LP 1 pushes to LP 0 at exactly LP 0's now + lookahead — legal,
-        // but it must land in LP 0's far heap, not its near bucket.
-        k.push_event(5, EventKind::Complete(c0));
-        assert_eq!(k.lps[0].near.len(), 0, "cross-LP events must not enter near");
-        assert_eq!(k.lps[0].far.len(), 1);
-    }
-
-    #[test]
-    fn packed_seqs_interleave_lp_counters() {
-        let mut k = Kernel::new();
-        k.set_lp_count(2);
-        k.enter_lp(0);
-        let a = k.new_completion();
-        let b = k.new_completion();
-        k.enter_lp(1);
-        let c = k.new_completion();
-        k.enter_lp(0);
-        k.push_event(3, EventKind::Complete(a)); // LP0 lseq 0 -> seq 0
-        k.push_event(4, EventKind::Complete(b)); // LP0 lseq 1 -> seq 2
-        k.enter_lp(1);
-        k.push_event(3, EventKind::Complete(c)); // LP1 lseq 0 -> seq 1
-        let (lp, e) = k.pop_event().unwrap();
-        assert_eq!((lp, e.seq), (0, 0));
-        let (lp, e) = k.pop_event().unwrap();
-        assert_eq!((lp, e.seq), (1, 1), "time tie breaks by packed seq across LPs");
-        let (lp, e) = k.pop_event().unwrap();
-        assert_eq!((lp, e.seq), (0, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "violates the lookahead floor")]
-    fn cross_lp_push_below_lookahead_panics() {
-        let mut k = Kernel::new();
-        k.set_lp_count(2);
-        k.set_lookahead(10);
-        k.enter_lp(0);
-        let c = k.new_completion();
-        k.enter_lp(1);
-        k.push_event(9, EventKind::Complete(c)); // 9 < now(0) + 10
-    }
-
-    #[test]
-    #[should_panic(expected = "before any spawn, completion or event")]
-    fn lp_count_is_frozen_once_events_exist() {
-        let mut k = Kernel::new();
-        let c = k.new_completion();
-        k.push_event(1, EventKind::Complete(c));
-        k.set_lp_count(2);
-    }
-
-    #[test]
-    fn pop_safe_respects_neighbor_floors() {
-        let mut k = Kernel::new();
-        k.set_lp_count(2);
-        k.set_lookahead(5);
-        k.set_parallel_mode(true);
-        k.enter_lp(0);
-        let a = k.new_completion();
-        k.push_event(20, EventKind::Complete(a)); // LP0 head at 20
-        k.enter_lp(1);
-        let b = k.new_completion();
-        k.push_event(3, EventKind::Complete(b)); // LP1 head at 3
-        // LP0's head (20) is not safe: LP1 could still emit up to 3+5=8.
-        assert_eq!(k.lbts(0), 8);
-        assert!(k.pop_safe(&[0]).is_none());
-        // LP1's head (3) is safe: LP0 cannot emit before 20+5.
-        let (lp, e) = k.pop_safe(&[1]).expect("LP1 head is safe");
-        assert_eq!((lp, e.time), (1, 3));
-        assert!(k.lps[1].busy, "popped LP is held busy until finish_lp");
-        // While LP1 is busy its floor is its clock, not its (empty) queue.
-        k.enter_lp(1);
-        k.set_now(3);
-        assert_eq!(k.lbts(0), 8);
-        k.finish_lp(1);
-        // Idle + empty LP1 constrains nobody: LP0's head becomes safe.
-        assert_eq!(k.lbts(0), Time::MAX);
-        let (lp, e) = k.pop_safe(&[0]).expect("LP0 head safe once LP1 drained");
-        assert_eq!((lp, e.time), (0, 20));
+        assert_eq!((k.near.len(), k.far.len()), (1, 1));
     }
 
     #[test]
     fn bypass_eligibility_is_strict() {
         let mut k = Kernel::new();
         assert!(k.bypass_eligible(7), "empty queue: any future time is next");
-        let c = k.new_completion();
-        k.push_event(10, EventKind::Complete(c));
+        k.push_event(10, EventKind::Complete(CompletionId(0)));
         assert!(k.bypass_eligible(9));
         assert!(!k.bypass_eligible(10), "tie must go to the queued event");
         assert!(!k.bypass_eligible(11));
@@ -1701,7 +1218,6 @@ mod tests {
         k.actors.push(ActorMeta {
             name: "a".into(),
             status: ActorStatus::Running,
-            lp: 0,
             exit,
             blocked_on: BlockKind::Start,
             wake_epoch: 3,
@@ -1720,8 +1236,7 @@ mod tests {
             vec![TraceEvent { time: 42, seq: 0, kind: TraceKind::Wake(0) }]
         );
         // the consumed sequence number is gone: the next push gets seq 1
-        let c = k.new_completion();
-        k.push_event(50, EventKind::Complete(c));
-        assert_eq!(k.pop_event().unwrap().1.seq, 1);
+        k.push_event(50, EventKind::Complete(exit));
+        assert_eq!(k.pop_event().unwrap().seq, 1);
     }
 }

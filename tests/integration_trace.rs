@@ -9,7 +9,7 @@
 //! ```
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
 
@@ -30,6 +30,15 @@ const GOLDEN_RING_UTS: usize = 2048;
 /// staged collective provider, whose per-phase events would evict the FT
 /// spans from a 256-entry ring.
 const GOLDEN_RING_FT: usize = 1024;
+
+/// Serializes every test in this binary. Each one installs the
+/// process-global tracer or flips the process-wide actor-backend default,
+/// and a simulation that another test starts meanwhile adopts both: its
+/// events would land in this test's trace, or run on the wrong backend.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -92,6 +101,7 @@ fn traced_jsonl(ring: usize, work: impl Fn()) -> String {
 
 #[test]
 fn golden_trace_uts() {
+    let _serial = serial();
     // A few-hundred-node tree: big enough to force steals, small enough
     // that the bounded rings keep the interesting middle of the run.
     let mut cfg = UtsConfig::small(4, 2, StealStrategy::LocalFirst, 7);
@@ -112,6 +122,7 @@ fn golden_trace_uts() {
 
 #[test]
 fn golden_trace_ft() {
+    let _serial = serial();
     let jsonl = traced_jsonl(GOLDEN_RING_FT, || {
         let r = run_ft_upc(FtConfig::test_custom(8, 8, 8, 1, 2, 2));
         assert!(r.total_seconds > 0.0);
@@ -123,6 +134,7 @@ fn golden_trace_ft() {
 
 #[test]
 fn golden_trace_gups() {
+    let _serial = serial();
     let jsonl = traced_jsonl(GOLDEN_RING, || {
         let r = run_gups(GupsConfig::small(4, 2, Routing::PerThread));
         assert_eq!(r.errors, 0);
@@ -138,6 +150,7 @@ fn golden_trace_gups() {
 /// `(t, seq)` total order, same payloads, same eviction.
 #[test]
 fn golden_traces_identical_across_backends() {
+    let _serial = serial();
     use hupc::sim::{set_actor_backend_default, ActorBackend};
     // Restore the auto default even if a trace assertion panics, so this
     // test can't leak the OS-thread default into the rest of the binary.
@@ -170,6 +183,7 @@ fn golden_traces_identical_across_backends() {
 
 #[test]
 fn golden_trace_coll_allreduce() {
+    let _serial = serial();
     // A hierarchical allreduce on 2 nodes: the golden pins the CollBegin/
     // CollEnd taxonomy (op | algo | phase payload packing) and the staged
     // intra/inter phase structure of the provider.
@@ -194,6 +208,7 @@ fn golden_trace_coll_allreduce() {
 /// for a real workload (viewers silently drop malformed records).
 #[test]
 fn chrome_export_balances_spans() {
+    let _serial = serial();
     let t = Arc::new(Tracer::new(TraceLevel::Full));
     let g = t.install();
     run_gups(GupsConfig::small(4, 2, Routing::Hierarchical));
@@ -213,6 +228,7 @@ fn chrome_export_balances_spans() {
 /// distance histogram sees every successful steal.
 #[test]
 fn uts_steal_metrics_are_recorded() {
+    let _serial = serial();
     let t = Arc::new(Tracer::new(TraceLevel::Counters));
     let g = t.install();
     let r = run_uts(UtsConfig::small(4, 2, StealStrategy::LocalFirst, 11));
@@ -255,6 +271,7 @@ proptest! {
         plan_seed in any::<u64>(),
         tree_seed in 1u32..50,
     ) {
+        let _serial = serial();
         fn uts_run(plan_seed: u64, tree_seed: u32, level: Option<TraceLevel>) -> (f64, u64, u64, u64, u64) {
             let mut cfg = UtsConfig::small(4, 2, StealStrategy::LocalFirst, tree_seed);
             cfg.conduit = Conduit::gige();
@@ -289,6 +306,7 @@ proptest! {
         plan_seed in any::<u64>(),
         len in 1usize..120,
     ) {
+        let _serial = serial();
         fn run(plan_seed: u64, len: usize, traced: bool) -> (Time, u64, u64, u64, u64) {
             let mut cfg = UpcConfig::test_default(4, 2);
             cfg.gasnet.fault = Some(FaultPlan::new(plan_seed).loss(0.02));
@@ -322,6 +340,7 @@ proptest! {
     /// when nothing was evicted.
     #[test]
     fn merged_trace_totally_ordered_including_bypass(ops in prop::collection::vec(0u8..4, 4..24)) {
+        let _serial = serial();
         let t = Arc::new(Tracer::new(TraceLevel::Full));
         let g = t.install();
         let mut sim = Simulation::new();
@@ -363,6 +382,7 @@ proptest! {
     /// with kernel emits through the same seq counter).
     #[test]
     fn uts_trace_totally_ordered(tree_seed in 1u32..40, gran in 1usize..6) {
+        let _serial = serial();
         let t = Arc::new(Tracer::new(TraceLevel::Full));
         let g = t.install();
         let mut cfg = UtsConfig::small(4, 2, StealStrategy::LocalFirstRapid, tree_seed);
