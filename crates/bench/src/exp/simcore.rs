@@ -5,7 +5,7 @@
 //!
 //! 1. **simcall throughput** — one actor issuing back-to-back `advance`
 //!    simcalls, fast path on vs off. With the bypass every advance resolves
-//!    inline under the kernel lock; without it each one is a full
+//!    inline within one kernel borrow; without it each one is a full
 //!    park → scheduler → heap → wake round trip.
 //! 2. **handoff latency** — two actors ping-ponging through a [`SimQueue`],
 //!    which forces the scheduler onto the critical path of every hop; this

@@ -886,17 +886,29 @@ impl Gasnet {
     /// Wait until `h` is fully complete (`upc_waitsync`).
     pub fn wait_sync(&self, ctx: &Ctx, me: usize, h: Handle) {
         ctx.wait(h.remote);
-        self.outstanding[me].with_mut(|v| v.retain(|&c| c != h.remote));
+        self.retire(me, h);
     }
 
     /// Poll for completion (`upc_trysync`).
     pub fn try_sync(&self, ctx: &Ctx, me: usize, h: Handle) -> bool {
         if ctx.test(h.remote) {
-            self.outstanding[me].with_mut(|v| v.retain(|&c| c != h.remote));
+            self.retire(me, h);
             true
         } else {
             false
         }
+    }
+
+    /// Drop a synced handle from `me`'s outstanding list. Completion ids are
+    /// unique, so the first match is the only one; the order-preserving
+    /// `remove` keeps the rest in issue order, which [`Gasnet::quiesce`]
+    /// waits them in.
+    fn retire(&self, me: usize, h: Handle) {
+        self.outstanding[me].with_mut(|v| {
+            if let Some(i) = v.iter().position(|&c| c == h.remote) {
+                let _synced = v.remove(i);
+            }
+        });
     }
 
     /// Drain all outstanding non-blocking operations issued by `me`.
@@ -1167,6 +1179,33 @@ mod tests {
         }
         // Pipelining across connection/NIC/wire stages shortens the total.
         assert!(run(true) < run(false));
+    }
+
+    #[test]
+    fn out_of_order_syncs_retire_only_their_handles() {
+        // Wait handles out of issue order: exactly those leave the
+        // outstanding list, and the rest keep issue order — the order
+        // `quiesce` waits them in, which the wake sequence numbers expose.
+        let cfg = GasnetConfig::test_default(4, 2);
+        launch(cfg, |ctx, gn, me| {
+            if me == 0 {
+                let data = vec![1u64; 1024];
+                let hs: Vec<Handle> = (0..5)
+                    .map(|i| gn.put_nb(ctx, 0, 2, i * 1024, &data))
+                    .collect();
+                gn.wait_sync(ctx, 0, hs[2]);
+                // Same path, FIFO stages: h0 finished before h2, h4 after.
+                assert!(gn.try_sync(ctx, 0, hs[0]));
+                assert!(!gn.try_sync(ctx, 0, hs[4]));
+                let left: Vec<CompletionId> =
+                    [1, 3, 4].iter().map(|&i| hs[i].remote).collect();
+                assert_eq!(gn.outstanding[0].get_clone(), left);
+                gn.quiesce(ctx, 0);
+                assert!(gn.outstanding[0].get_clone().is_empty());
+                assert!(hs.iter().all(|h| ctx.test(h.remote)));
+            }
+            gn.barrier(ctx, me);
+        });
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! [`ActorBackend::OsThread`] fallback runs the same protocol over parked
 //! OS threads.
 
+use std::cell::{Cell, UnsafeCell};
+use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crate::coro::{self, Coro, Poll, ResumeArg, Stack, SwitchCoro, ThreadCoro};
 use crate::kernel::{
@@ -106,12 +109,7 @@ pub fn actor_backend_default() -> ActorBackend {
 
 /// Shared between the scheduler and every actor context.
 struct Shared {
-    kernel: Mutex<Kernel>,
-    /// Actors registered in the kernel (meta + first wake already queued)
-    /// whose bodies the scheduler has not yet collected. Spawns from inside
-    /// a running actor land here — the actor cannot touch the scheduler's
-    /// slot table while the scheduler is suspended mid-resume.
-    staged: Mutex<Vec<StagedActor>>,
+    kernel: KernelCell,
     /// Default stack size for newly spawned actors, bytes.
     stack_size: AtomicUsize,
     /// Backend for actors of this simulation (u8 of [`ActorBackend`]).
@@ -129,15 +127,121 @@ struct StagedActor {
     body: ActorBody,
 }
 
-/// Poison-tolerant lock: the engine's one deliberate poisoning policy.
+/// What the [`KernelCell`] owns.
+struct Core {
+    kernel: Kernel,
+    /// Actors registered in the kernel (meta + first wake already queued)
+    /// whose bodies the scheduler has not yet moved into its slot table.
+    /// Spawns from inside a running actor land here — the actor cannot
+    /// touch the scheduler's slot table while the scheduler is suspended
+    /// mid-resume. Ids are dense, so entries stay in id order.
+    staged: Vec<StagedActor>,
+}
+
+/// Single-owner home of the kernel: no lock, one non-atomic borrow flag.
 ///
-/// Engine-side state stays consistent across an actor panic — the panicking
-/// actor only ever completes a mutation before unwinding out of user code —
-/// so a poisoned mutex carries a usable value. Taking it everywhere (kernel
-/// and panic-note alike) means reporting a panic can never itself panic on a
-/// poisoned lock and cascade.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// The engine runs exactly one execution context at a time — the scheduler
+/// loop, or the one actor it resumed — and only the running context reaches
+/// the cell. The flag does not arbitrate between contexts; it catches a
+/// re-entrant borrow within one (a simcall made inside [`Ctx::with_kernel`])
+/// and turns it into a panic instead of an aliased `&mut Kernel`. The guard
+/// clears the flag on drop, unwinding included, so an actor panic never
+/// leaves the cell borrowed and needs no poison policy.
+struct KernelCell {
+    borrowed: Cell<bool>,
+    core: UnsafeCell<Core>,
+}
+
+// SAFETY: the cell is shared through `Arc<Shared>` by the scheduler and
+// every actor context, which on the OS-thread backend live on different
+// threads. Its two fields (`borrowed`, `core`) are never accessed by two
+// threads at once:
+// * safe code reaches the cell only through `Simulation` and `Ctx` (both
+//   `!Sync`, so a `&Simulation` or `&Ctx` cannot leave its thread) and
+//   through the engine's own actor wrapper, which runs inside the actor's
+//   turn; `Simulation::run_result` holds `&mut self` while actors run;
+// * one context runs at a time, and on the OS-thread backend control moves
+//   between threads only through `Handoff::signal` (Release) and
+//   `Handoff::wait` (Acquire), so each owner's accesses happen-before the
+//   next owner's.
+// The contents thus move from thread to thread with the token, which
+// requires `Core: Send` (asserted just below).
+unsafe impl Sync for KernelCell {}
+
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Core>();
+};
+
+impl KernelCell {
+    fn new() -> Self {
+        KernelCell {
+            borrowed: Cell::new(false),
+            core: UnsafeCell::new(Core {
+                kernel: Kernel::new(),
+                staged: Vec::new(),
+            }),
+        }
+    }
+
+    /// Exclusive access for the running context. Panics on a re-entrant
+    /// borrow.
+    fn borrow(&self) -> KernelGuard<'_> {
+        assert!(
+            !self.borrowed.get(),
+            "re-entrant kernel borrow: a simcall or kernel access was made while \
+             the kernel is already borrowed (e.g. inside Ctx::with_kernel)"
+        );
+        self.borrowed.set(true);
+        KernelGuard {
+            cell: self,
+            _not_send: PhantomData,
+        }
+    }
+}
+
+/// Exclusive access to the simulation [`Kernel`], returned by
+/// [`Simulation::kernel`]. Dereferences to the kernel; the borrow ends when
+/// the guard is dropped. Borrowing the kernel again while a guard is alive
+/// panics.
+pub struct KernelGuard<'a> {
+    cell: &'a KernelCell,
+    /// A guard stays on the thread that borrowed.
+    _not_send: PhantomData<*mut Kernel>,
+}
+
+impl KernelGuard<'_> {
+    fn staged(&mut self) -> &mut Vec<StagedActor> {
+        // SAFETY: this guard holds the cell's only borrow (`borrow` checked
+        // and set the flag), and the cell is reached only by the running
+        // context (see `unsafe impl Sync for KernelCell`: `!Sync` handles,
+        // `Handoff` ordering across threads).
+        unsafe { &mut (*self.cell.core.get()).staged }
+    }
+}
+
+impl Deref for KernelGuard<'_> {
+    type Target = Kernel;
+    fn deref(&self) -> &Kernel {
+        // SAFETY: as in `staged`: the flag makes this guard the only borrow,
+        // and `!Sync` handles plus `Handoff` ordering keep the cell on one
+        // running context at a time.
+        unsafe { &(*self.cell.core.get()).kernel }
+    }
+}
+
+impl DerefMut for KernelGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Kernel {
+        // SAFETY: as in `deref`; `&mut self` makes the access unique among
+        // this guard's own borrows.
+        unsafe { &mut (*self.cell.core.get()).kernel }
+    }
+}
+
+impl Drop for KernelGuard<'_> {
+    fn drop(&mut self) {
+        self.cell.borrowed.set(false);
+    }
 }
 
 /// Internal sentinel unwound through user code on simulation teardown.
@@ -262,6 +366,19 @@ enum ActorSlot {
 ///
 /// Spawn root actors with [`Simulation::spawn`], configure platform state via
 /// [`Simulation::kernel`], then call [`Simulation::run`].
+///
+/// A `Simulation` may move to another thread but is not `Sync`: the kernel
+/// it reaches has no lock, so a `&Simulation` must stay on one thread.
+///
+/// ```compile_fail,E0277
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<hupc_sim::Simulation>();
+/// ```
+///
+/// ```
+/// fn assert_send<T: Send>() {}
+/// assert_send::<hupc_sim::Simulation>();
+/// ```
 pub struct Simulation {
     shared: Arc<Shared>,
     /// Execution state per actor id; extended as staged spawns are drained.
@@ -269,6 +386,8 @@ pub struct Simulation {
     /// Recycled coroutine stacks of finished actors (bounded).
     stack_pool: Vec<Stack>,
     ran: bool,
+    /// `!Sync`: part of what makes the lock-free [`KernelCell`] sound.
+    _not_sync: PhantomData<Cell<()>>,
 }
 
 impl Default for Simulation {
@@ -283,8 +402,7 @@ impl Simulation {
         let backend = actor_backend_default();
         let sim = Simulation {
             shared: Arc::new(Shared {
-                kernel: Mutex::new(Kernel::new()),
-                staged: Mutex::new(Vec::new()),
+                kernel: KernelCell::new(),
                 stack_size: AtomicUsize::new(DEFAULT_STACK_SIZE),
                 backend: AtomicU8::new(backend_code(backend)),
                 dispatched: AtomicBool::new(false),
@@ -292,6 +410,7 @@ impl Simulation {
             actors: Vec::new(),
             stack_pool: Vec::new(),
             ran: false,
+            _not_sync: PhantomData,
         };
         // Adopt the process-global tracer (if installed) so app-level
         // drivers that construct their own Simulation internally are traced
@@ -304,9 +423,10 @@ impl Simulation {
     }
 
     /// Mutable access to the kernel for pre-run setup (resources, barriers,
-    /// …). Must not be called while the simulation is running.
-    pub fn kernel(&self) -> MutexGuard<'_, Kernel> {
-        relock(&self.shared.kernel)
+    /// …) and post-run inspection. Panics if the kernel is already borrowed
+    /// (another guard from this method is still alive).
+    pub fn kernel(&self) -> KernelGuard<'_> {
+        self.shared.kernel.borrow()
     }
 
     /// Enable / disable the scheduler-bypass fast path (see
@@ -407,44 +527,48 @@ impl Simulation {
         assert!(!self.ran, "Simulation::run may only be called once");
         self.ran = true;
         loop {
-            let event = {
-                let mut k = self.kernel();
-                if k.live_actors == 0 {
-                    let stats = SimulationStats {
-                        end_time: k.now(),
-                        events: k.events_processed(),
-                        actors: k.actors.len(),
-                        fast_path_hits: k.fast_path_hits,
-                        handoffs: k.handoffs,
-                        heap_ops: k.heap_ops,
-                    };
-                    return Ok(stats);
-                }
-                match k.pop_event() {
-                    Some(e) => {
-                        k.log_event(e.time, e.seq, e.kind);
-                        #[cfg(feature = "trace")]
-                        k.trace_dispatch(&e);
-                        k.set_now(e.time);
-                        e
-                    }
-                    None => {
-                        let wait_graph = k.wait_graph();
-                        let time = k.now();
-                        return Err(SimError::Deadlock { time, wait_graph });
-                    }
-                }
+            // One scheduler step is one kernel borrow, released only for the
+            // switch into an actor.
+            let mut k = self.shared.kernel.borrow();
+            // Panic payloads travel inside the kernel (recorded by the
+            // panicking actor before it switches back), so propagation is a
+            // typed field handoff, not a join side effect. Only a wake runs
+            // actor code, so checking here, before anything else, reports a
+            // panic right after the step that raised it.
+            if let Some((id, message)) = k.take_panic_note() {
+                let name = k.actors[id].name.clone();
+                return Err(SimError::ActorPanic {
+                    actor: id,
+                    name,
+                    message,
+                });
+            }
+            if k.live_actors == 0 {
+                return Ok(SimulationStats {
+                    end_time: k.now(),
+                    events: k.events_processed(),
+                    actors: k.actors.len(),
+                    fast_path_hits: k.fast_path_hits,
+                    handoffs: k.handoffs,
+                    heap_ops: k.heap_ops,
+                });
+            }
+            let Some(e) = k.pop_event() else {
+                let wait_graph = k.wait_graph();
+                let time = k.now();
+                return Err(SimError::Deadlock { time, wait_graph });
             };
-            match event.kind {
-                EventKind::Complete(c) => {
-                    self.kernel().fire_completion(c);
-                }
+            k.log_event(e.time, e.seq, e.kind);
+            #[cfg(feature = "trace")]
+            k.trace_dispatch(&e);
+            k.set_now(e.time);
+            match e.kind {
+                EventKind::Complete(c) => k.fire_completion(c),
                 EventKind::Timeout(a, epoch) => {
                     // A timed wait expired. If the actor was woken since the
                     // deadline was armed the event is stale; otherwise pull
                     // the actor out of its wait registration and wake it
                     // with the timed-out flag set.
-                    let mut k = self.kernel();
                     if k.timeout_is_live(a, epoch) {
                         k.cancel_wait(a);
                         k.actors[a].timed_out = true;
@@ -453,33 +577,14 @@ impl Simulation {
                     }
                 }
                 EventKind::Wake(a) => {
-                    {
-                        let mut k = self.kernel();
-                        k.mark_running(a);
-                        k.handoffs += 1;
-                    }
+                    k.mark_running(a);
+                    k.handoffs += 1;
+                    drop(k);
                     // Switch into the actor. It runs — possibly through many
-                    // fast-path simcalls — until it parks or finishes; the
-                    // kernel lock is free the whole time it executes.
-                    let poll = self.resume_actor(a, ResumeArg::Run);
-                    if poll == Poll::Finished {
+                    // fast-path simcalls, each borrowing the kernel itself —
+                    // until it parks or finishes.
+                    if self.resume_actor(a, ResumeArg::Run) == Poll::Finished {
                         self.retire(a);
-                    }
-                    // Panic payloads travel inside the kernel (recorded by
-                    // the panicking actor under the kernel lock before it
-                    // switches back), so propagation is a typed field
-                    // handoff, not a join side effect.
-                    let note = {
-                        let mut k = self.kernel();
-                        k.take_panic_note()
-                            .map(|(id, message)| (id, k.actors[id].name.clone(), message))
-                    };
-                    if let Some((id, name, message)) = note {
-                        return Err(SimError::ActorPanic {
-                            actor: id,
-                            name,
-                            message,
-                        });
                     }
                 }
             }
@@ -489,8 +594,8 @@ impl Simulation {
     /// Pull staged spawns into the slot table. Ids are dense and staged in
     /// registration order, so the table extends contiguously.
     fn drain_staged(&mut self) {
-        let mut staged = relock(&self.shared.staged);
-        for s in staged.drain(..) {
+        let mut k = self.shared.kernel.borrow();
+        for s in k.staged().drain(..) {
             debug_assert_eq!(s.id, self.actors.len(), "staged spawns arrive in id order");
             self.actors.push(ActorSlot::Pending {
                 name: s.name,
@@ -502,7 +607,9 @@ impl Simulation {
 
     /// Resume actor `a`, creating its execution context on first dispatch.
     fn resume_actor(&mut self, a: ActorId, arg: ResumeArg) -> Poll {
-        self.drain_staged();
+        if a >= self.actors.len() {
+            self.drain_staged();
+        }
         if matches!(self.actors[a], ActorSlot::Pending { .. }) {
             let slot = std::mem::replace(&mut self.actors[a], ActorSlot::Done);
             let ActorSlot::Pending {
@@ -555,13 +662,13 @@ impl Simulation {
         let ctx = Ctx {
             shared: Arc::clone(&shared),
             id,
-            deferred: AtomicU64::new(0),
-            tag: AtomicU64::new(0),
+            deferred: Cell::new(0),
+            tag: Cell::new(0),
             // Captured at first dispatch, i.e. once the run has started,
             // so a tracer attached any time before `run()` is seen by
             // every actor.
             #[cfg(feature = "trace")]
-            tracer: relock(&shared.kernel).tracer().cloned(),
+            tracer: shared.kernel.borrow().tracer().cloned(),
         };
         let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
         // The hosting OS thread outlives this coroutine: a quiet teardown
@@ -578,18 +685,17 @@ impl Simulation {
         }
         if let Err(p) = result {
             let msg = panic_message(p.as_ref());
-            // One kernel transaction: record the typed panic note and
-            // mark the actor finished so the scheduler does not hang.
-            // `relock` still matters here — a panic inside a
-            // `with_kernel` closure poisons the kernel mutex itself —
-            // but the note is now a kernel field, not a side channel.
-            let mut k = relock(&shared.kernel);
+            // One kernel borrow: record the typed panic note and mark the
+            // actor finished so the scheduler does not hang. A panic inside
+            // a `with_kernel` closure released its borrow while unwinding,
+            // so the cell is free here.
+            let mut k = shared.kernel.borrow();
             k.note_panic(id, msg);
             k.actors[id].status = ActorStatus::Finished;
             k.live_actors -= 1;
             return;
         }
-        let mut k = relock(&shared.kernel);
+        let mut k = shared.kernel.borrow();
         k.actors[id].status = ActorStatus::Finished;
         k.live_actors -= 1;
         let exit = k.actors[id].exit;
@@ -664,7 +770,7 @@ fn register_actor(
     stack_size: usize,
     body: ActorBody,
 ) -> ActorRef {
-    let mut k = relock(&shared.kernel);
+    let mut k = shared.kernel.borrow();
     let spawned_at = k.now();
     let exit = k.new_completion();
     let id = k.alloc_actor(ActorMeta {
@@ -679,14 +785,12 @@ fn register_actor(
     });
     k.live_actors += 1;
     k.wake_at(spawned_at, id);
-    // Stage under the kernel lock so staged entries stay in id order.
-    relock(&shared.staged).push(StagedActor {
+    k.staged().push(StagedActor {
         id,
         name,
         stack_size,
         body,
     });
-    drop(k);
     ActorRef { id, exit }
 }
 
@@ -704,6 +808,15 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 ///
 /// A `Ctx` is passed to the actor body and borrowed by anything that needs to
 /// advance virtual time or block.
+///
+/// `Ctx` is not `Sync` (its lazy clock and tag are plain [`Cell`]s), so a
+/// `&Ctx` cannot leave the actor's thread: that is part of what makes the
+/// lock-free kernel sound.
+///
+/// ```compile_fail,E0277
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<hupc_sim::Ctx>();
+/// ```
 pub struct Ctx {
     shared: Arc<Shared>,
     id: ActorId,
@@ -711,11 +824,11 @@ pub struct Ctx {
     /// this actor has charged but not yet pushed into the kernel. Flushed —
     /// as a single logical advance — before any kernel interaction, so no
     /// other actor (and no event) can ever observe the stale clock.
-    deferred: AtomicU64,
+    deferred: Cell<Time>,
     /// Actor-local tag word (see [`Ctx::set_actor_tag`]). Lives on the
     /// context rather than in OS-thread TLS because actors share the
     /// scheduler's thread on the coroutine backend.
-    tag: AtomicU64,
+    tag: Cell<u64>,
     /// Tracer captured at actor start (cheap clone of the kernel's).
     #[cfg(feature = "trace")]
     tracer: Option<Arc<hupc_trace::Tracer>>,
@@ -740,30 +853,30 @@ impl Ctx {
     /// thread, TLS would leak across actors.
     #[inline]
     pub fn set_actor_tag(&self, v: u64) {
-        self.tag.store(v, Ordering::Relaxed);
+        self.tag.set(v);
     }
 
     /// This actor's local tag word (0 until set).
     #[inline]
     pub fn actor_tag(&self) -> u64 {
-        self.tag.load(Ordering::Relaxed)
+        self.tag.get()
     }
 
     /// Current virtual time (includes this actor's lazily deferred delay).
     pub fn now(&self) -> Time {
-        self.kernel().now() + self.deferred.load(Ordering::Relaxed)
+        self.kernel().now() + self.deferred.get()
     }
 
-    fn kernel(&self) -> MutexGuard<'_, Kernel> {
-        relock(&self.shared.kernel)
+    fn kernel(&self) -> KernelGuard<'_> {
+        self.shared.kernel.borrow()
     }
 
-    /// Lock the kernel after flushing any lazily deferred delay. Every
+    /// Borrow the kernel after flushing any lazily deferred delay. Every
     /// simcall that reads or mutates kernel state goes through this, which
     /// is what makes the lazy clock invisible: by the time anything can
     /// observe the kernel, the clock has caught up.
-    fn kernel_synced(&self) -> MutexGuard<'_, Kernel> {
-        let d = self.deferred.swap(0, Ordering::Relaxed);
+    fn kernel_synced(&self) -> KernelGuard<'_> {
+        let d = self.deferred.take();
         let mut k = self.kernel();
         if d > 0 {
             let t = k.now() + d;
@@ -771,8 +884,7 @@ impl Ctx {
                 k.bypass_resume(self.id, t);
             } else {
                 k.wake_at(t, self.id);
-                drop(k);
-                self.block(BlockKind::Advance);
+                self.block(k, BlockKind::Advance);
                 k = self.kernel();
             }
         }
@@ -787,17 +899,15 @@ impl Ctx {
     }
 
     /// Yield to the scheduler and suspend until woken: mark the block reason
-    /// in the kernel, then switch back to the scheduler loop. On the
-    /// coroutine backend this is a user-space context switch — no futex, no
-    /// kernel round trip.
-    fn block(&self, on: BlockKind) {
-        {
-            let mut k = self.kernel();
-            debug_assert_ne!(k.actors[self.id].status, ActorStatus::Finished);
-            if k.actors[self.id].status != ActorStatus::Runnable {
-                k.mark_blocked(self.id, on);
-            }
+    /// in the kernel, release the simcall's borrow `k`, then switch back to
+    /// the scheduler loop. On the coroutine backend this is a user-space
+    /// context switch — no futex, no kernel round trip.
+    fn block(&self, mut k: KernelGuard<'_>, on: BlockKind) {
+        debug_assert_ne!(k.actors[self.id].status, ActorStatus::Finished);
+        if k.actors[self.id].status != ActorStatus::Runnable {
+            k.mark_blocked(self.id, on);
         }
+        drop(k);
         if coro::yield_parked() == ResumeArg::Shutdown {
             QUIET_UNWIND.with(|q| q.set(true));
             std::panic::panic_any(ShutdownSignal);
@@ -819,35 +929,33 @@ impl Ctx {
     pub fn advance(&self, dt: Time) {
         // Any lazily deferred delay elapses first; merging it into this
         // charge keeps the combined delay a single logical advance.
-        let dt = dt + self.deferred.swap(0, Ordering::Relaxed);
+        let dt = dt + self.deferred.take();
         if dt == 0 {
             return;
         }
-        {
-            let mut k = self.kernel();
-            let t = k.now() + dt;
-            if k.bypass_eligible(t) {
-                k.bypass_resume(self.id, t);
-                return;
-            }
-            let me = self.id;
-            k.wake_at(t, me);
+        let mut k = self.kernel();
+        let t = k.now() + dt;
+        if k.bypass_eligible(t) {
+            k.bypass_resume(self.id, t);
+            return;
         }
-        self.block(BlockKind::Advance);
+        k.wake_at(t, self.id);
+        self.block(k, BlockKind::Advance);
     }
 
     /// Charge `dt` of virtual time *lazily*: the delay accumulates in the
     /// actor and is folded into its next kernel interaction (any simcall, or
     /// an explicit [`Ctx::advance`]) as one combined advance. Consecutive
-    /// lazy charges coalesce — no lock, no event, no context switch — which
-    /// makes this the cheapest way to express back-to-back modeled overheads.
+    /// lazy charges coalesce — no kernel borrow, no event, no context
+    /// switch — which makes this the cheapest way to express back-to-back
+    /// modeled overheads.
     ///
     /// Semantically the total delay is charged as a *single* advance at the
     /// flush point; opt in only where intermediate wake points are not
     /// observable (no other actor can interact with this one in between),
     /// which is exactly the straight-line overhead-then-operation pattern.
     pub fn advance_lazy(&self, dt: Time) {
-        self.deferred.fetch_add(dt, Ordering::Relaxed);
+        self.deferred.set(self.deferred.get() + dt);
     }
 
     /// Charge a FIFO service of `service` time on `res`, blocking until the
@@ -855,49 +963,41 @@ impl Ctx {
     /// charges are expressed). Takes the same scheduler-bypass fast path as
     /// [`Ctx::advance`] when the service completion is the next event.
     pub fn acquire(&self, res: ResourceId, service: Time) {
-        {
-            let mut k = self.kernel_synced();
-            let t = k.acquire(res, service);
-            if k.bypass_eligible(t) {
-                k.bypass_resume(self.id, t);
-                return;
-            }
-            let me = self.id;
-            k.wake_at(t, me);
+        let mut k = self.kernel_synced();
+        let t = k.acquire(res, service);
+        if k.bypass_eligible(t) {
+            k.bypass_resume(self.id, t);
+            return;
         }
-        self.block(BlockKind::Resource(res));
+        k.wake_at(t, self.id);
+        self.block(k, BlockKind::Resource(res));
     }
 
     /// Block until `comp` fires. Returns immediately if it already has.
     pub fn wait(&self, comp: CompletionId) {
-        {
-            let mut k = self.kernel_synced();
-            if k.is_complete(comp) {
-                return;
-            }
-            k.add_completion_waiter(comp, self.id);
-            let me = self.id;
-            k.mark_blocked(me, BlockKind::Completion(comp));
+        let mut k = self.kernel_synced();
+        if k.is_complete(comp) {
+            return;
         }
-        self.block(BlockKind::Completion(comp));
+        k.add_completion_waiter(comp, self.id);
+        k.mark_blocked(self.id, BlockKind::Completion(comp));
+        self.block(k, BlockKind::Completion(comp));
     }
 
     /// Like [`Ctx::wait`], but give up after `timeout` of virtual time: the
     /// waiter is withdrawn and `Err(WaitTimedOut)` returned. The completion
     /// itself is unaffected and may still fire later.
     pub fn wait_timeout(&self, comp: CompletionId, timeout: Time) -> Result<(), WaitTimedOut> {
-        {
-            let mut k = self.kernel_synced();
-            if k.is_complete(comp) {
-                return Ok(());
-            }
-            k.add_completion_waiter(comp, self.id);
-            let me = self.id;
-            k.mark_blocked(me, BlockKind::Completion(comp));
-            let deadline = k.now() + timeout;
-            k.schedule_timeout(me, deadline);
+        let mut k = self.kernel_synced();
+        if k.is_complete(comp) {
+            return Ok(());
         }
-        self.block(BlockKind::Completion(comp));
+        let me = self.id;
+        k.add_completion_waiter(comp, me);
+        k.mark_blocked(me, BlockKind::Completion(comp));
+        let deadline = k.now() + timeout;
+        k.schedule_timeout(me, deadline);
+        self.block(k, BlockKind::Completion(comp));
         if self.take_timed_out() {
             Err(WaitTimedOut)
         } else {
@@ -913,13 +1013,10 @@ impl Ctx {
     /// Park on a condition variable (standalone; re-check your predicate on
     /// wake — wakes are targeted but predicates are the caller's business).
     pub fn cond_wait(&self, cond: CondId) {
-        {
-            let mut k = self.kernel_synced();
-            k.add_cond_waiter(cond, self.id);
-            let me = self.id;
-            k.mark_blocked(me, BlockKind::Cond(cond));
-        }
-        self.block(BlockKind::Cond(cond));
+        let mut k = self.kernel_synced();
+        k.add_cond_waiter(cond, self.id);
+        k.mark_blocked(self.id, BlockKind::Cond(cond));
+        self.block(k, BlockKind::Cond(cond));
     }
 
     /// Wake one actor parked on `cond`.
@@ -935,19 +1032,13 @@ impl Ctx {
     /// Arrive at `bar` and block until all parties have arrived. The barrier
     /// releases everyone at the last arrival time plus `release_cost`.
     pub fn barrier_wait_cost(&self, bar: BarrierId, release_cost: Time) {
-        let released_now = {
-            let mut k = self.kernel_synced();
-            let me = self.id;
-            let last = k.barrier_arrive(bar, me, release_cost);
-            if !last {
-                k.mark_blocked(me, BlockKind::Barrier(bar));
-            }
-            last
-        };
-        if released_now {
+        let mut k = self.kernel_synced();
+        if k.barrier_arrive(bar, self.id, release_cost) {
+            drop(k);
             self.advance(release_cost);
         } else {
-            self.block(BlockKind::Barrier(bar));
+            k.mark_blocked(self.id, BlockKind::Barrier(bar));
+            self.block(k, BlockKind::Barrier(bar));
         }
     }
 
@@ -967,22 +1058,17 @@ impl Ctx {
         release_cost: Time,
         timeout: Time,
     ) -> Result<(), WaitTimedOut> {
-        let released_now = {
-            let mut k = self.kernel_synced();
-            let me = self.id;
-            let last = k.barrier_arrive(bar, me, release_cost);
-            if !last {
-                k.mark_blocked(me, BlockKind::Barrier(bar));
-                let deadline = k.now() + timeout;
-                k.schedule_timeout(me, deadline);
-            }
-            last
-        };
-        if released_now {
+        let mut k = self.kernel_synced();
+        let me = self.id;
+        if k.barrier_arrive(bar, me, release_cost) {
+            drop(k);
             self.advance(release_cost);
             return Ok(());
         }
-        self.block(BlockKind::Barrier(bar));
+        k.mark_blocked(me, BlockKind::Barrier(bar));
+        let deadline = k.now() + timeout;
+        k.schedule_timeout(me, deadline);
+        self.block(k, BlockKind::Barrier(bar));
         if self.take_timed_out() {
             Err(WaitTimedOut)
         } else {
@@ -992,30 +1078,21 @@ impl Ctx {
 
     /// Acquire a simulated mutex (FIFO fair), blocking if held.
     pub fn mutex_lock(&self, m: MutexId) {
-        let got = {
-            let mut k = self.kernel_synced();
-            let me = self.id;
-            let got = k.mutex_lock_or_enqueue(m, me);
-            if !got {
-                k.mark_blocked(me, BlockKind::Mutex(m));
-            }
-            got
-        };
-        if !got {
-            self.block(BlockKind::Mutex(m));
+        let mut k = self.kernel_synced();
+        if !k.mutex_lock_or_enqueue(m, self.id) {
+            k.mark_blocked(self.id, BlockKind::Mutex(m));
+            self.block(k, BlockKind::Mutex(m));
         }
     }
 
     /// Try to acquire without blocking.
     pub fn mutex_try_lock(&self, m: MutexId) -> bool {
-        let me = self.id;
-        self.kernel_synced().mutex_try_lock(m, me)
+        self.kernel_synced().mutex_try_lock(m, self.id)
     }
 
     /// Release a simulated mutex; panics if this actor is not the owner.
     pub fn mutex_unlock(&self, m: MutexId) {
-        let me = self.id;
-        self.kernel_synced().mutex_unlock(m, me);
+        self.kernel_synced().mutex_unlock(m, self.id);
     }
 
     /// Spawn a child actor starting at the current time. The child is a
@@ -1102,6 +1179,7 @@ mod tests {
     use super::*;
     use crate::time;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn single_actor_advances_time() {
@@ -1637,7 +1715,7 @@ mod tests {
 
     #[test]
     fn panic_inside_with_kernel_is_reported_typed() {
-        // A panic while *holding the kernel lock* poisons the kernel mutex;
+        // A panic while *holding the kernel borrow* releases it on unwind;
         // the typed note must still come through run_result.
         let mut sim = Simulation::new();
         sim.spawn("locked-boom", |ctx| {
@@ -1651,6 +1729,31 @@ mod tests {
                 assert!(message.contains("boom under lock"), "{message}");
             }
             other => panic!("expected ActorPanic, got {other}"),
+        }
+    }
+
+    #[test]
+    fn simcall_inside_with_kernel_is_a_typed_reentrancy_panic() {
+        // A simcall made while the actor already borrows the kernel must
+        // fail loudly as a typed actor panic, never alias the kernel or
+        // hang, on both backends (on OS threads the cell crosses threads).
+        for backend in [ActorBackend::Coroutine, ActorBackend::OsThread] {
+            let mut sim = Simulation::new();
+            sim.set_actor_backend(backend);
+            sim.spawn("reentrant", |ctx| {
+                ctx.advance(1);
+                let _ = ctx.with_kernel(|_| ctx.now());
+            });
+            match sim.run_result().unwrap_err() {
+                SimError::ActorPanic { actor, name, message } => {
+                    assert_eq!(actor, 0);
+                    assert_eq!(name, "reentrant");
+                    assert!(message.contains("re-entrant kernel borrow"), "{message}");
+                }
+                other => panic!("expected ActorPanic, got {other}"),
+            }
+            // The unwind released the outer borrow: the kernel is usable.
+            assert_eq!(sim.kernel().now(), 1);
         }
     }
 

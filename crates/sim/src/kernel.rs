@@ -1,9 +1,10 @@
 //! The simulation kernel: event queue, virtual clock, and the blocking /
 //! resource primitives actors synchronize through.
 //!
-//! The kernel lives behind a single mutex, but there is never real
-//! contention: only the running actor (or the scheduler between actors)
-//! touches it. All mutation goes through methods here so invariants —
+//! The kernel has no lock: only the running actor (or the scheduler between
+//! actors) touches it, so the engine keeps it in a single-owner cell with a
+//! re-entrancy flag (`KernelCell` in the engine). All mutation goes through
+//! methods here so invariants —
 //! monotone time, at most one pending wake per actor, FIFO resource queues —
 //! hold in one place.
 
@@ -345,7 +346,7 @@ pub struct Kernel {
     /// sequence-order pop path with zero overhead.
     policy: Option<Box<dyn SchedulePolicy>>,
     /// First actor panic of the run: `(actor, payload rendering)`. Set by
-    /// the panicking actor under the kernel lock (before it switches back to
+    /// the panicking actor in one kernel borrow (before it switches back to
     /// the scheduler) and drained by the scheduler loop — the typed channel
     /// behind [`crate::SimError::ActorPanic`].
     panic_note: Option<(ActorId, String)>,

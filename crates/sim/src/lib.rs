@@ -36,8 +36,8 @@
 //!
 //! A simcall whose resulting wake is provably the next event to run and
 //! resumes the *same* actor (a plain advance, an uncontended resource
-//! charge) is processed inline under the kernel lock — the actor keeps
-//! running with no scheduler handoff at all. Virtual-time behavior is
+//! charge) is processed inline within the simcall's kernel borrow — the
+//! actor keeps running with no scheduler handoff at all. Virtual-time behavior is
 //! bit-identical with the fast path on or off (same events, times and
 //! sequence numbers); only host speed and the [`SimulationStats`] counters
 //! differ. See [`Kernel::set_fast_path`], [`Ctx::advance_lazy`] and
@@ -71,7 +71,7 @@ pub mod time;
 pub use cell::SimCell;
 pub use engine::{
     actor_backend_default, set_actor_backend_default, set_sim_backend_default,
-    sim_backend_default, ActorBackend, ActorRef, Ctx, SimBackend, SimError, SimResult,
+    sim_backend_default, ActorBackend, ActorRef, Ctx, KernelGuard, SimBackend, SimError, SimResult,
     Simulation, SimulationStats, WaitTimedOut, DEFAULT_STACK_SIZE,
 };
 pub use kernel::{
