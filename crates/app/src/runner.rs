@@ -1,6 +1,8 @@
 //! The generic runner: one place that owns tracing and report shaping for
 //! every workload.
 
+use std::sync::Arc;
+
 use crate::params::Params;
 use crate::registry::Registry;
 use crate::workload::{AppError, RunEnv, Verified, Workload};
@@ -43,28 +45,22 @@ impl RunReport {
     }
 }
 
-/// Run one workload under the SDK: tracer install (under the `trace`
-/// feature), oracle evaluation inside the workload. The returned
-/// [`Verified`] carries the `MetricsRegistry` snapshot when tracing ran.
+/// Run one workload under the SDK: tracer install, oracle evaluation inside
+/// the workload. The returned [`Verified`] carries the `MetricsRegistry`
+/// snapshot unless the workload filled one in itself.
 pub fn run_workload(
     w: &dyn Workload,
     env: &RunEnv,
     params: &Params,
 ) -> Result<Verified, AppError> {
-    #[cfg(feature = "trace")]
-    {
-        use std::sync::Arc;
-        let t = Arc::new(hupc_trace::Tracer::new(hupc_trace::TraceLevel::Counters));
-        let guard = t.install();
-        let mut v = w.run(env, params)?;
-        drop(guard);
-        if v.metrics_json.is_none() {
-            v.metrics_json = Some(t.metrics().snapshot().to_json());
-        }
-        Ok(v)
+    let t = Arc::new(hupc_trace::Tracer::new(hupc_trace::TraceLevel::Counters));
+    let guard = t.install();
+    let mut v = w.run(env, params)?;
+    drop(guard);
+    if v.metrics_json.is_none() {
+        v.metrics_json = Some(t.metrics().snapshot().to_json());
     }
-    #[cfg(not(feature = "trace"))]
-    w.run(env, params)
+    Ok(v)
 }
 
 /// Registry-keyed entry point: look up `name`, run it in `env`, shape a

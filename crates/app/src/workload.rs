@@ -68,8 +68,8 @@ pub struct Verified {
     pub metrics: Vec<(String, f64)>,
     /// Virtual seconds at the end of the timed section.
     pub end_seconds: f64,
-    /// `MetricsRegistry` snapshot JSON (filled by the runner under the
-    /// `trace` feature; `None` otherwise).
+    /// `MetricsRegistry` snapshot JSON (filled by the runner; `None` from a
+    /// direct [`Workload::run`]).
     pub metrics_json: Option<String>,
 }
 

@@ -6,7 +6,7 @@
 //! a process-global tracer, which any simulation another test starts at the
 //! same time would adopt and write into.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use hupc_app::adapters::{
     ft_config, gups_config, stream_config, uts_config, FtWorkload, GupsWorkload, StreamWorkload,
@@ -28,20 +28,16 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// One direct run of `w` in its default environment, plus the full
-/// structured event log of that run (empty with tracing compiled out).
+/// structured event log of that run. A ring that evicted events would make
+/// two truncated logs compare equal, so the run must record every event.
 fn run_logged(w: &dyn Workload) -> (Verified, String) {
     let env = w.default_env();
-    #[cfg(feature = "trace")]
-    {
-        use std::sync::Arc;
-        let t = Arc::new(hupc_trace::Tracer::new(hupc_trace::TraceLevel::Full));
-        let guard = t.install();
-        let v = w.run(&env, &Params::empty()).unwrap();
-        drop(guard);
-        (v, hupc_trace::to_jsonl(&t.merge()))
-    }
-    #[cfg(not(feature = "trace"))]
-    (w.run(&env, &Params::empty()).unwrap(), String::new())
+    let t = Arc::new(hupc_trace::Tracer::new(hupc_trace::TraceLevel::Full));
+    let guard = t.install();
+    let v = w.run(&env, &Params::empty()).unwrap();
+    drop(guard);
+    assert_eq!(t.events_dropped(), 0, "{}: the trace ring evicted events", w.name());
+    (v, hupc_trace::to_jsonl(&t.merge()))
 }
 
 /// Run `w` twice on the one dispatch engine: every metric, the end virtual
@@ -56,7 +52,6 @@ fn assert_rerun_identical(w: &dyn Workload) {
     }
     assert_eq!(bits(a.end_seconds), bits(b.end_seconds));
     assert!(log_a == log_b, "{}: event log diverges between reruns", w.name());
-    #[cfg(feature = "trace")]
     assert!(!log_a.is_empty(), "{}: no events recorded", w.name());
 }
 

@@ -14,7 +14,6 @@ pub mod hostkern;
 pub mod serve;
 pub mod simcore;
 pub mod table_3_1;
-#[cfg(feature = "trace")]
 pub mod trace;
 pub mod table_3_2;
 pub mod table_4_1;

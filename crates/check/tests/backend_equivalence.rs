@@ -10,6 +10,7 @@
 use std::sync::{Arc, Mutex};
 
 use hupc_check::{find_scenario, Artifact, Decision, PolicyHandle, ARTIFACT_EXT};
+use hupc_sim::trace::{TraceLevel, Tracer};
 use hupc_sim::{
     set_actor_backend_default, time, ActorBackend, SimCell, Simulation, TraceEvent,
 };
@@ -41,10 +42,11 @@ fn tie_rich_run(
     let mut sim = Simulation::new();
     sim.set_actor_backend(backend);
     let policy = PolicyHandle::random(seed);
+    let tracer = Arc::new(Tracer::new(TraceLevel::Full));
     let m = {
         let mut k = sim.kernel();
         policy.install(&mut k);
-        k.record_event_log(true);
+        k.set_tracer(Some(Arc::clone(&tracer)));
         k.new_mutex()
     };
     let counter = Arc::new(SimCell::new(0u64));
@@ -62,8 +64,7 @@ fn tie_rich_run(
         });
     }
     let stats = sim.run_result().expect("workload cannot deadlock");
-    let log = sim.kernel().take_event_log();
-    (log, stats.end_time, counter.get(), policy.log())
+    (TraceEvent::log_of(&tracer), stats.end_time, counter.get(), policy.log())
 }
 
 proptest! {

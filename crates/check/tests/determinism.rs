@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use hupc_check::{find_scenario, Decision, PolicyHandle};
+use hupc_sim::trace::{TraceLevel, Tracer};
 use hupc_sim::{time, SimCell, Simulation, TraceEvent};
 use proptest::prelude::*;
 
@@ -18,11 +19,12 @@ use proptest::prelude::*;
 fn tie_rich_run(seed: u64, fast_path: bool) -> (Vec<TraceEvent>, u64, u64, Vec<Decision>) {
     let mut sim = Simulation::new();
     let policy = PolicyHandle::random(seed);
+    let tracer = Arc::new(Tracer::new(TraceLevel::Full));
     let m = {
         let mut k = sim.kernel();
         policy.install(&mut k);
         k.set_fast_path(fast_path);
-        k.record_event_log(true);
+        k.set_tracer(Some(Arc::clone(&tracer)));
         k.new_mutex()
     };
     let counter = Arc::new(SimCell::new(0u64));
@@ -40,8 +42,7 @@ fn tie_rich_run(seed: u64, fast_path: bool) -> (Vec<TraceEvent>, u64, u64, Vec<D
         });
     }
     let stats = sim.run_result().expect("workload cannot deadlock");
-    let log = sim.kernel().take_event_log();
-    (log, stats.end_time, counter.get(), policy.log())
+    (TraceEvent::log_of(&tracer), stats.end_time, counter.get(), policy.log())
 }
 
 proptest! {

@@ -19,6 +19,8 @@ use std::sync::Arc;
 
 use hupc_groups::{GroupLevel, GroupSet, ThreadGroup};
 use hupc_sim::Kernel;
+use hupc_trace::coll::{PHASE_INTER, PHASE_INTRA, PHASE_OP};
+use hupc_trace::EventKind::{CollBegin, CollEnd};
 use hupc_upc::{CollProvider, SharedArray, Upc, UpcJob, UpcRuntime, SCRATCH_WORDS};
 
 use crate::plan::{resolve, CollAlgo, CollOp, CollPlan};
@@ -26,17 +28,6 @@ use crate::plan::{resolve, CollAlgo, CollOp, CollPlan};
 /// Half the scratch region: the DATA pipeline chunk. The other half is the
 /// GATHER area for reduction slots.
 const HALF: usize = SCRATCH_WORDS / 2;
-
-/// Emit a structured trace event (compiles out without the `trace` feature).
-macro_rules! emit {
-    ($upc:expr, $kind:ident, $a:expr, $b:expr) => {
-        #[cfg(feature = "trace")]
-        {
-            $upc.ctx()
-                .trace_emit(hupc_trace::EventKind::$kind, $a, $b);
-        }
-    };
-}
 
 /// Pre-allocated staging for the coalesced all-to-all (see
 /// [`CollDomain::reserve_exchange`]).
@@ -192,13 +183,12 @@ impl CollDomain {
         let node_leader = self.nodes.group_of(me).leader();
         let lrank = self.leaders.rank_of(me);
         let three = algo == CollAlgo::ThreeLevel;
-        #[cfg(feature = "trace")]
         let tag = |phase| hupc_trace::coll::phase_tag(hupc_trace::coll::BROADCAST, algo.trace_tag(), phase);
-        emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_OP), words.len() as u64);
+        upc.ctx().trace_emit(CollBegin, tag(PHASE_OP), words.len() as u64);
         let mut buf = vec![0u64; words.len().min(HALF)];
         for chunk in words.chunks_mut(HALF) {
             // Stage: the root plants the chunk in its node leader's DATA.
-            emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_INTRA), chunk.len() as u64);
+            upc.ctx().trace_emit(CollBegin, tag(PHASE_INTRA), chunk.len() as u64);
             if me == root {
                 if me == node_leader {
                     upc.gasnet().segment(me).write(data, chunk);
@@ -206,12 +196,12 @@ impl CollDomain {
                     upc.memput(node_leader, data, chunk); // pshm
                 }
             }
-            emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_INTRA), 0);
+            upc.ctx().trace_emit(CollEnd, tag(PHASE_INTRA), 0);
             self.node_barrier(upc);
             // Inter-leader k-ary tree, rotated so the root's leader is
             // tree rank 0.
             if let Some(lr) = lrank {
-                emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_INTER), chunk.len() as u64);
+                upc.ctx().trace_emit(CollBegin, tag(PHASE_INTER), chunk.len() as u64);
                 let rel = (lr + grp - root_g) % grp;
                 let b = &mut buf[..chunk.len()];
                 let mut staged = false;
@@ -238,12 +228,12 @@ impl CollDomain {
                     span *= self.arity;
                 }
                 self.leaders.barrier(upc);
-                emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_INTER), 0);
+                upc.ctx().trace_emit(CollEnd, tag(PHASE_INTER), 0);
             }
             self.node_barrier(upc);
             // Distribute: members pull from their (socket) leader over
             // shared memory.
-            emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_INTRA), chunk.len() as u64);
+            upc.ctx().trace_emit(CollBegin, tag(PHASE_INTRA), chunk.len() as u64);
             if three {
                 let sl = self.sockets.group_of(me).leader();
                 if me == sl && me != node_leader {
@@ -266,11 +256,11 @@ impl CollDomain {
                     upc.memget(node_leader, data, chunk);
                 }
             }
-            emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_INTRA), 0);
+            upc.ctx().trace_emit(CollEnd, tag(PHASE_INTRA), 0);
             // Guard scratch reuse by the next chunk / next collective.
             self.node_barrier(upc);
         }
-        emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_OP), 0);
+        upc.ctx().trace_emit(CollEnd, tag(PHASE_OP), 0);
     }
 
     // ------------------------------------------------------------------
@@ -293,9 +283,8 @@ impl CollDomain {
         let lrank = self.leaders.rank_of(me);
         let k = self.arity;
         let three = algo == CollAlgo::ThreeLevel;
-        #[cfg(feature = "trace")]
         let tag = |phase| hupc_trace::coll::phase_tag(hupc_trace::coll::ALLREDUCE, algo.trace_tag(), phase);
-        emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_OP), vals.len() as u64);
+        upc.ctx().trace_emit(CollBegin, tag(PHASE_OP), vals.len() as u64);
         // Chunk so every slot family fits its half of the scratch region:
         // member slots in GATHER, socket partials in DATA, child partials
         // in GATHER during the inter tree.
@@ -322,7 +311,7 @@ impl CollDomain {
             // Intra: gather member contributions into the leader, fold in
             // member-rank order (deterministic; combine must be
             // associative + commutative across the tree stages).
-            emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_INTRA), cl as u64);
+            upc.ctx().trace_emit(CollBegin, tag(PHASE_INTRA), cl as u64);
             if three {
                 let sg = self.sockets.group_of(me).clone();
                 let sl = sg.leader();
@@ -372,11 +361,11 @@ impl CollDomain {
                     }
                 }
             }
-            emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_INTRA), 0);
+            upc.ctx().trace_emit(CollEnd, tag(PHASE_INTRA), 0);
             // Inter: k-ary reduce tree to leader rank 0, then k-ary
             // broadcast of the total back over the leaders (via DATA).
             if let Some(lr) = lrank {
-                emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_INTER), cl as u64);
+                upc.ctx().trace_emit(CollBegin, tag(PHASE_INTER), cl as u64);
                 let mut spans = Vec::new();
                 let mut s = 1;
                 while s < grp {
@@ -432,11 +421,11 @@ impl CollDomain {
                 }
                 self.leaders.barrier(upc);
                 upc.gasnet().segment(me).read(data, acc); // the total
-                emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_INTER), 0);
+                upc.ctx().trace_emit(CollEnd, tag(PHASE_INTER), 0);
             }
             self.node_barrier(upc);
             // Distribute the total back through shared memory.
-            emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_INTRA), cl as u64);
+            upc.ctx().trace_emit(CollBegin, tag(PHASE_INTRA), cl as u64);
             if three {
                 let sl = self.sockets.group_of(me).leader();
                 if me == sl && me != node_leader {
@@ -456,10 +445,10 @@ impl CollDomain {
             } else {
                 upc.memget(node_leader, data, chunk);
             }
-            emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_INTRA), 0);
+            upc.ctx().trace_emit(CollEnd, tag(PHASE_INTRA), 0);
             self.node_barrier(upc);
         }
-        emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_OP), 0);
+        upc.ctx().trace_emit(CollEnd, tag(PHASE_OP), 0);
     }
 
     // ------------------------------------------------------------------
@@ -475,7 +464,6 @@ impl CollDomain {
         let my_node = self.nodes.group_of(me).clone();
         let node_leader = my_node.leader();
         let g = self.nodes.group_index_of(me);
-        #[cfg(feature = "trace")]
         let tag = |phase| {
             hupc_trace::coll::phase_tag(
                 hupc_trace::coll::ALLGATHER,
@@ -483,12 +471,12 @@ impl CollDomain {
                 phase,
             )
         };
-        emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_OP), out.len() as u64);
+        upc.ctx().trace_emit(CollBegin, tag(PHASE_OP), out.len() as u64);
         out[me * b..(me + 1) * b].copy_from_slice(mine);
         if p > 1 && b > 0 {
             // Intra: stage own block in own DATA, co-members pull it over
             // shared memory.
-            emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_INTRA), (my_node.size() * b) as u64);
+            upc.ctx().trace_emit(CollBegin, tag(PHASE_INTRA), (my_node.size() * b) as u64);
             let mut lo = 0;
             while lo < b {
                 let hi = (lo + HALF).min(b);
@@ -502,12 +490,12 @@ impl CollDomain {
                 self.node_barrier(upc);
                 lo = hi;
             }
-            emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_INTRA), 0);
+            upc.ctx().trace_emit(CollEnd, tag(PHASE_INTRA), 0);
             // Inter: store-and-forward ring over node leaders; each
             // received superblock piece is re-distributed inside the node
             // before the ring advances.
             if grp > 1 {
-                emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_INTER), ((grp - 1) * self.node_size * b) as u64);
+                upc.ctx().trace_emit(CollBegin, tag(PHASE_INTER), ((grp - 1) * self.node_size * b) as u64);
                 let sb = self.node_size * b; // superblock words
                 let right = self.leader_thread((g + 1) % grp);
                 let mut buf = vec![0u64; sb.min(HALF)];
@@ -541,10 +529,10 @@ impl CollDomain {
                         lo = hi;
                     }
                 }
-                emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_INTER), 0);
+                upc.ctx().trace_emit(CollEnd, tag(PHASE_INTER), 0);
             }
         }
-        emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_OP), 0);
+        upc.ctx().trace_emit(CollEnd, tag(PHASE_OP), 0);
     }
 
     // ------------------------------------------------------------------
@@ -577,7 +565,6 @@ impl CollDomain {
         let r = my_node.rank_of(me).expect("member of own node group");
         let g = self.nodes.group_index_of(me);
         let stage = self.staging.as_ref().expect("exchange staging").arr.word_offset();
-        #[cfg(feature = "trace")]
         let tag = |phase| {
             hupc_trace::coll::phase_tag(
                 hupc_trace::coll::ALL_EXCHANGE,
@@ -585,24 +572,19 @@ impl CollDomain {
                 phase,
             )
         };
-        emit!(
-            upc,
-            CollBegin,
-            tag(hupc_trace::coll::PHASE_OP),
-            (upc.threads() * bw) as u64
-        );
+        upc.ctx().trace_emit(CollBegin, tag(PHASE_OP), (upc.threads() * bw) as u64);
         // Intra: co-member blocks go straight to their destination over
         // shared memory (staggered start).
-        emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_INTRA), (m * bw) as u64);
+        upc.ctx().trace_emit(CollBegin, tag(PHASE_INTRA), (m * bw) as u64);
         for d in 0..m {
             let peer = my_node.thread_at((r + d) % m);
             upc.memcpy(peer, dst_off + me * bw, me, src_off + peer * bw, bw);
         }
-        emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_INTRA), 0);
+        upc.ctx().trace_emit(CollEnd, tag(PHASE_INTRA), 0);
         // Inter: one coalesced message per remote node — all blocks for
         // that node's members, landed in its leader's staging slot for
         // this sender.
-        emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_INTER), ((grp - 1) * m * bw) as u64);
+        upc.ctx().trace_emit(CollBegin, tag(PHASE_INTER), ((grp - 1) * m * bw) as u64);
         let mut buf = vec![0u64; m * bw];
         let mut hs = Vec::new();
         for d in 1..grp {
@@ -634,11 +616,11 @@ impl CollDomain {
                 );
             }
         }
-        emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_INTER), 0);
+        upc.ctx().trace_emit(CollEnd, tag(PHASE_INTER), 0);
         // Staging must not be clobbered by a subsequent exchange while
         // anyone is still scattering.
         upc.barrier();
-        emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_OP), 0);
+        upc.ctx().trace_emit(CollEnd, tag(PHASE_OP), 0);
     }
 
     // ------------------------------------------------------------------
@@ -647,7 +629,6 @@ impl CollDomain {
 
     fn staged_barrier_hier(&self, upc: &Upc<'_>) {
         let me = upc.mythread();
-        #[cfg(feature = "trace")]
         let tag = |phase| {
             hupc_trace::coll::phase_tag(
                 hupc_trace::coll::BARRIER,
@@ -655,13 +636,13 @@ impl CollDomain {
                 phase,
             )
         };
-        emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_OP), 0);
+        upc.ctx().trace_emit(CollBegin, tag(PHASE_OP), 0);
         self.node_barrier(upc);
         if self.leaders.rank_of(me).is_some() {
             self.leaders.barrier(upc);
         }
         self.node_barrier(upc);
-        emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_OP), 0);
+        upc.ctx().trace_emit(CollEnd, tag(PHASE_OP), 0);
     }
 }
 

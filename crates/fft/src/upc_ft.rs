@@ -323,7 +323,6 @@ fn run_fft2d(
     ph: &mut Phases,
 ) {
     let t0 = upc.now();
-    #[cfg(feature = "trace")]
     upc.ctx().trace_emit(
         hupc_trace::EventKind::SpanBegin,
         hupc_trace::span::FT_COMPUTE,
@@ -334,12 +333,8 @@ fn run_fft2d(
     }
     charge_planes(upc, pool, l.nzp, charges.plane2d);
     let dt = upc.now() - t0;
-    #[cfg(feature = "trace")]
-    {
-        upc.ctx()
-            .trace_emit(hupc_trace::EventKind::SpanEnd, hupc_trace::span::FT_COMPUTE, dt);
-        upc.trace_observe("ft.compute_ns", dt);
-    }
+    upc.ctx().trace_emit(hupc_trace::EventKind::SpanEnd, hupc_trace::span::FT_COMPUTE, dt);
+    upc.trace_observe("ft.compute_ns", dt);
     ph.fft2d += dt;
 }
 
@@ -353,7 +348,6 @@ fn run_fftz(
     ph: &mut Phases,
 ) {
     let t0 = upc.now();
-    #[cfg(feature = "trace")]
     upc.ctx().trace_emit(
         hupc_trace::EventKind::SpanBegin,
         hupc_trace::span::FT_COMPUTE,
@@ -364,12 +358,8 @@ fn run_fftz(
     }
     charge_planes(upc, pool, l.nyp, charges.planez);
     let dt = upc.now() - t0;
-    #[cfg(feature = "trace")]
-    {
-        upc.ctx()
-            .trace_emit(hupc_trace::EventKind::SpanEnd, hupc_trace::span::FT_COMPUTE, dt);
-        upc.trace_observe("ft.compute_ns", dt);
-    }
+    upc.ctx().trace_emit(hupc_trace::EventKind::SpanEnd, hupc_trace::span::FT_COMPUTE, dt);
+    upc.trace_observe("ft.compute_ns", dt);
     ph.fft1d += dt;
 }
 
@@ -383,7 +373,6 @@ fn run_evolve(
     ph: &mut Phases,
 ) {
     let t0 = upc.now();
-    #[cfg(feature = "trace")]
     upc.ctx().trace_emit(
         hupc_trace::EventKind::SpanBegin,
         hupc_trace::span::FT_EVOLVE,
@@ -394,9 +383,7 @@ fn run_evolve(
     }
     charge_sweep(upc, pool, l.chunk as f64 * 32.0);
     let dt = upc.now() - t0;
-    #[cfg(feature = "trace")]
-    upc.ctx()
-        .trace_emit(hupc_trace::EventKind::SpanEnd, hupc_trace::span::FT_EVOLVE, dt);
+    upc.ctx().trace_emit(hupc_trace::EventKind::SpanEnd, hupc_trace::span::FT_EVOLVE, dt);
     ph.evolve += dt;
 }
 
@@ -418,7 +405,6 @@ fn run_exchange(
     let planes = if forward { l.nzp } else { l.nyp };
     let sub_elems = l.slot / planes;
     let t0 = upc.now();
-    #[cfg(feature = "trace")]
     upc.ctx().trace_emit(
         hupc_trace::EventKind::SpanBegin,
         hupc_trace::span::FT_EXCHANGE,
@@ -513,12 +499,8 @@ fn run_exchange(
     }
     upc.barrier();
     let dt = upc.now() - t0;
-    #[cfg(feature = "trace")]
-    {
-        upc.ctx()
-            .trace_emit(hupc_trace::EventKind::SpanEnd, hupc_trace::span::FT_EXCHANGE, dt);
-        upc.trace_observe("ft.exchange_ns", dt);
-    }
+    upc.ctx().trace_emit(hupc_trace::EventKind::SpanEnd, hupc_trace::span::FT_EXCHANGE, dt);
+    upc.trace_observe("ft.exchange_ns", dt);
     ph.comm += dt;
 }
 

@@ -169,7 +169,6 @@ pub fn run_gups(cfg: GupsConfig) -> GupsResult {
         });
         upc.barrier();
         let t0 = upc.now();
-        #[cfg(feature = "trace")]
         upc.ctx().trace_emit(
             hupc_trace::EventKind::SpanBegin,
             hupc_trace::span::GUPS_EXCHANGE,
@@ -185,20 +184,15 @@ pub fn run_gups(cfg: GupsConfig) -> GupsResult {
                 hierarchical(&upc, &cfg2, &table, &inbox, slot_words, &groups, me)
             }
         };
-        #[cfg(feature = "trace")]
-        {
-            upc.ctx().trace_emit(
-                hupc_trace::EventKind::SpanEnd,
-                hupc_trace::span::GUPS_EXCHANGE,
-                mid - t0,
-            );
-            upc.ctx()
-                .trace_emit(hupc_trace::EventKind::SpanBegin, hupc_trace::span::GUPS_APPLY, 0);
-            upc.trace_count("gups.updates", upd as u64);
-        }
+        upc.ctx().trace_emit(
+            hupc_trace::EventKind::SpanEnd,
+            hupc_trace::span::GUPS_EXCHANGE,
+            mid - t0,
+        );
+        upc.ctx().trace_emit(hupc_trace::EventKind::SpanBegin, hupc_trace::span::GUPS_APPLY, 0);
+        upc.trace_count("gups.updates", upd as u64);
         upc.barrier();
         let dt = upc.now() - t0;
-        #[cfg(feature = "trace")]
         upc.ctx().trace_emit(
             hupc_trace::EventKind::SpanEnd,
             hupc_trace::span::GUPS_APPLY,

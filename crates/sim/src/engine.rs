@@ -415,7 +415,6 @@ impl Simulation {
         // Adopt the process-global tracer (if installed) so app-level
         // drivers that construct their own Simulation internally are traced
         // without plumbing a handle through every config struct.
-        #[cfg(feature = "trace")]
         if let Some(t) = hupc_trace::global_tracer() {
             sim.kernel().set_tracer(Some(t));
         }
@@ -444,7 +443,6 @@ impl Simulation {
     /// Attach a structured tracer (see `hupc-trace`), overriding any
     /// process-global one adopted at construction. Must be called before
     /// [`Simulation::run`]: actors capture the tracer when they start.
-    #[cfg(feature = "trace")]
     pub fn set_tracer(&self, t: Option<Arc<hupc_trace::Tracer>>) {
         self.kernel().set_tracer(t);
     }
@@ -558,8 +556,6 @@ impl Simulation {
                 let time = k.now();
                 return Err(SimError::Deadlock { time, wait_graph });
             };
-            k.log_event(e.time, e.seq, e.kind);
-            #[cfg(feature = "trace")]
             k.trace_dispatch(&e);
             k.set_now(e.time);
             match e.kind {
@@ -667,7 +663,6 @@ impl Simulation {
             // Captured at first dispatch, i.e. once the run has started,
             // so a tracer attached any time before `run()` is seen by
             // every actor.
-            #[cfg(feature = "trace")]
             tracer: shared.kernel.borrow().tracer().cloned(),
         };
         let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
@@ -830,7 +825,6 @@ pub struct Ctx {
     /// scheduler's thread on the coroutine backend.
     tag: Cell<u64>,
     /// Tracer captured at actor start (cheap clone of the kernel's).
-    #[cfg(feature = "trace")]
     tracer: Option<Arc<hupc_trace::Tracer>>,
 }
 
@@ -1128,24 +1122,12 @@ impl Ctx {
     // ----- structured tracing (observationally free) ----------------------
 
     /// The tracer this actor captured at start, if any.
-    #[cfg(feature = "trace")]
     pub fn tracer(&self) -> Option<&Arc<hupc_trace::Tracer>> {
         self.tracer.as_ref()
     }
 
-    /// Whether full event recording is active (use to skip payload
-    /// computation at call sites; `trace_emit` re-checks anyway).
-    #[cfg(feature = "trace")]
-    #[inline]
-    pub fn tracing(&self) -> bool {
-        self.tracer
-            .as_ref()
-            .is_some_and(|t| t.enabled(hupc_trace::TraceLevel::Full))
-    }
-
     /// Emit a structured event stamped with this actor's current virtual
     /// time (including lazily deferred delay). Never advances time.
-    #[cfg(feature = "trace")]
     #[inline]
     pub fn trace_emit(&self, kind: hupc_trace::EventKind, a: u64, b: u64) {
         if let Some(t) = &self.tracer {
@@ -1156,7 +1138,6 @@ impl Ctx {
     }
 
     /// Bump a metrics counter (active at `Counters` level and above).
-    #[cfg(feature = "trace")]
     #[inline]
     pub fn trace_count(&self, name: &'static str, loc: hupc_trace::Loc, v: u64) {
         if let Some(t) = &self.tracer {
@@ -1165,7 +1146,6 @@ impl Ctx {
     }
 
     /// Record a metrics histogram observation (at `Counters` and above).
-    #[cfg(feature = "trace")]
     #[inline]
     pub fn trace_observe(&self, name: &'static str, loc: hupc_trace::Loc, v: u64) {
         if let Some(t) = &self.tracer {
@@ -1177,6 +1157,7 @@ impl Ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{TraceEvent, TraceKind};
     use crate::time;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -1253,7 +1234,6 @@ mod tests {
         sim.run();
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn structured_tracer_records_kernel_events_without_perturbing_time() {
         use hupc_trace::{EventKind as K, TraceLevel, Tracer};
@@ -1514,14 +1494,15 @@ mod tests {
     }
 
     #[test]
-    fn backends_produce_identical_event_logs_and_stats() {
+    fn backends_produce_identical_dispatch_logs_and_stats() {
         // The same program — barriers, a contended resource, a mutex,
         // dynamic spawn — must produce byte-identical event logs and stats
         // on the coroutine and OS-thread backends.
-        fn run_once(backend: ActorBackend) -> (Vec<crate::kernel::TraceEvent>, SimulationStats) {
+        fn run_once(backend: ActorBackend) -> (Vec<TraceEvent>, SimulationStats) {
             let mut sim = Simulation::new();
             sim.set_actor_backend(backend);
-            sim.kernel().record_event_log(true);
+            let tracer = Arc::new(hupc_trace::Tracer::new(hupc_trace::TraceLevel::Full));
+            sim.set_tracer(Some(Arc::clone(&tracer)));
             let res = sim.kernel().new_resource("r");
             let bar = sim.kernel().new_barrier(2);
             let m = sim.kernel().new_mutex();
@@ -1542,8 +1523,7 @@ mod tests {
                 });
             }
             let stats = sim.run();
-            let log = sim.kernel().take_event_log();
-            (log, stats)
+            (TraceEvent::log_of(&tracer), stats)
         }
         let coro = run_once(ActorBackend::Coroutine);
         let thread = run_once(ActorBackend::OsThread);
@@ -1887,10 +1867,11 @@ mod tests {
     fn fast_path_on_off_traces_are_identical() {
         // Two interleaved actors + a resource + a barrier: the same program
         // must produce the same full event trace either way.
-        fn run_once(fast: bool) -> (Vec<crate::kernel::TraceEvent>, Time, u64) {
+        fn run_once(fast: bool) -> (Vec<TraceEvent>, Time, u64) {
             let mut sim = Simulation::new();
             sim.set_fast_path(fast);
-            sim.kernel().record_event_log(true);
+            let tracer = Arc::new(hupc_trace::Tracer::new(hupc_trace::TraceLevel::Full));
+            sim.set_tracer(Some(Arc::clone(&tracer)));
             let res = sim.kernel().new_resource("r");
             let bar = sim.kernel().new_barrier(2);
             for id in 0..2u64 {
@@ -1903,12 +1884,61 @@ mod tests {
                 });
             }
             let stats = sim.run();
-            let log = sim.kernel().take_event_log();
-            (log, stats.end_time, stats.events)
+            (TraceEvent::log_of(&tracer), stats.end_time, stats.events)
         }
         let slow = run_once(false);
         let fast = run_once(true);
         assert_eq!(slow, fast);
+    }
+
+    /// A traced run with a live timeout, a fired completion and bypassed
+    /// advances: the projected dispatch log has exactly one entry per
+    /// processed event, each kernel seq once, in time order.
+    #[test]
+    fn dispatch_log_covers_every_processed_event() {
+        let mut sim = Simulation::new();
+        let tracer = Arc::new(hupc_trace::Tracer::new(hupc_trace::TraceLevel::Full));
+        sim.set_tracer(Some(Arc::clone(&tracer)));
+        let comp = sim.kernel().new_completion();
+        sim.spawn("setter", move |ctx| {
+            ctx.advance(time::ns(10));
+            ctx.with_kernel(|k| {
+                let now = k.now();
+                k.complete_at(now, comp);
+            });
+        });
+        let waiter = sim.spawn("waiter", move |ctx| {
+            assert!(ctx.wait_timeout(comp, time::ns(3)).is_err());
+            ctx.wait(comp);
+            ctx.advance(time::ns(1));
+        });
+        let stats = sim.run();
+        let log = TraceEvent::log_of(&tracer);
+        assert_eq!(log.len() as u64, stats.events);
+        let mut seqs: Vec<u64> = log.iter().map(|e| e.seq).collect();
+        seqs.sort_unstable();
+        seqs.dedup();
+        assert_eq!(seqs.len(), log.len(), "a kernel seq appears twice");
+        assert!(log.windows(2).all(|w| w[0].time <= w[1].time));
+        let at = |kind| log.iter().find(|e| e.kind == kind).map(|e| e.time);
+        assert_eq!(at(TraceKind::Timeout(waiter.id)), Some(time::ns(3)));
+        assert_eq!(at(TraceKind::Complete(comp.0)), Some(time::ns(10)));
+    }
+
+    /// An evicted ring must not yield a silently truncated dispatch log.
+    #[test]
+    #[should_panic(expected = "evicted")]
+    fn dispatch_log_refuses_an_evicted_trace() {
+        let mut sim = Simulation::new();
+        let tracer = Arc::new(hupc_trace::Tracer::with_capacity(hupc_trace::TraceLevel::Full, 1));
+        sim.set_tracer(Some(Arc::clone(&tracer)));
+        sim.spawn("a", |ctx| {
+            for _ in 0..4 {
+                ctx.advance(time::ns(5));
+            }
+        });
+        sim.run();
+        TraceEvent::log_of(&tracer);
     }
 
     #[test]

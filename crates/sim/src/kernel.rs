@@ -162,7 +162,6 @@ pub(crate) enum BlockKind {
 }
 
 /// Payload code for structured `Park` trace events.
-#[cfg(feature = "trace")]
 fn park_code(on: BlockKind) -> u64 {
     match on {
         BlockKind::Start => hupc_trace::park::START,
@@ -284,11 +283,11 @@ struct MutexState {
     queue: Vec<ActorId>,
 }
 
-/// One processed scheduler event, as recorded by the optional event log
-/// ([`Kernel::record_event_log`]). Bypassed events are logged exactly as the
-/// full scheduler path would have logged them — same time, same sequence
-/// number, same kind — which is what lets tests assert bit-identical traces
-/// with the fast path on and off.
+/// One processed scheduler event: the kernel's dispatch log, projected out
+/// of a `Full` tracer's event stream by [`TraceEvent::project`]. A bypassed
+/// event projects exactly as the full scheduler path would have logged it —
+/// same time, same sequence number, same kind — which is what lets tests
+/// assert bit-identical traces with the fast path on and off.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     pub time: Time,
@@ -305,6 +304,37 @@ pub enum TraceKind {
     Complete(usize),
     /// A timed-wait deadline event was processed (live or stale).
     Timeout(usize),
+}
+
+impl TraceEvent {
+    /// The kernel's dispatch log inside a merged trace, in dispatch order:
+    /// `Wake` and `FastPathBypass` become `Wake(actor)` with seq `a`,
+    /// `Complete` becomes `Complete(a)` with seq `b`, and `Timeout` becomes
+    /// `Timeout(actor)` with seq `b`. Every other kind is dropped.
+    pub fn project(trace: &[hupc_trace::Event]) -> Vec<TraceEvent> {
+        use hupc_trace::EventKind as K;
+        trace
+            .iter()
+            .filter_map(|e| {
+                let (seq, kind) = match e.kind {
+                    K::Wake | K::FastPathBypass => (e.a, TraceKind::Wake(e.actor as usize)),
+                    K::Complete => (e.b, TraceKind::Complete(e.a as usize)),
+                    K::Timeout => (e.b, TraceKind::Timeout(e.actor as usize)),
+                    _ => return None,
+                };
+                Some(TraceEvent { time: e.time, seq, kind })
+            })
+            .collect()
+    }
+
+    /// [`TraceEvent::project`] over everything `tracer` recorded. Panics if
+    /// a ring evicted events: a truncated log could compare equal to
+    /// another truncated log and hide a divergence.
+    pub fn log_of(tracer: &hupc_trace::Tracer) -> Vec<TraceEvent> {
+        let dropped = tracer.events_dropped();
+        assert_eq!(dropped, 0, "tracer evicted {dropped} events; the dispatch log is incomplete");
+        TraceEvent::project(&tracer.merge())
+    }
 }
 
 /// Central simulation state. Obtain mutable access through
@@ -339,8 +369,6 @@ pub struct Kernel {
     pub(crate) handoffs: u64,
     /// Pushes + pops on the far (binary-heap) half of the event queue.
     pub(crate) heap_ops: u64,
-    /// Optional full event log for trace-equality tests.
-    event_log: Option<Vec<TraceEvent>>,
     /// Optional tie-break hook for schedule exploration (see
     /// [`SchedulePolicy`]). `None` (the default) keeps the plain
     /// sequence-order pop path with zero overhead.
@@ -353,7 +381,6 @@ pub struct Kernel {
     /// Structured virtual-time tracer (hupc-trace), if one is attached.
     /// Emitting never touches `now`, the queue, or any seq the simulation
     /// observes — tracing is observationally free by construction.
-    #[cfg(feature = "trace")]
     tracer: Option<std::sync::Arc<hupc_trace::Tracer>>,
 }
 
@@ -376,10 +403,8 @@ impl Kernel {
             fast_path_hits: 0,
             handoffs: 0,
             heap_ops: 0,
-            event_log: None,
             policy: None,
             panic_note: None,
-            #[cfg(feature = "trace")]
             tracer: None,
         }
     }
@@ -390,11 +415,6 @@ impl Kernel {
     /// dispatches. Without one, ties break by sequence number as always.
     pub fn set_schedule_policy(&mut self, p: Option<Box<dyn SchedulePolicy>>) {
         self.policy = p;
-    }
-
-    /// Whether a schedule policy is installed.
-    pub fn has_schedule_policy(&self) -> bool {
-        self.policy.is_some()
     }
 
     /// Record the first actor panic of the run (later ones are dropped; the
@@ -413,20 +433,17 @@ impl Kernel {
     /// Attach (or detach) a structured tracer. All kernel-level events
     /// (schedule / wake / fast-path bypass / park / complete / timeout) are
     /// emitted through it when its level is `Full`.
-    #[cfg(feature = "trace")]
     pub fn set_tracer(&mut self, t: Option<std::sync::Arc<hupc_trace::Tracer>>) {
         self.tracer = t;
     }
 
     /// The attached tracer, if any.
-    #[cfg(feature = "trace")]
     pub fn tracer(&self) -> Option<&std::sync::Arc<hupc_trace::Tracer>> {
         self.tracer.as_ref()
     }
 
     /// Emit a structured trace event at the kernel clock (single branch when
     /// no tracer is attached or its level is below `Full`).
-    #[cfg(feature = "trace")]
     #[inline]
     pub(crate) fn temit(&self, time: Time, actor: usize, kind: hupc_trace::EventKind, a: u64, b: u64) {
         if let Some(t) = &self.tracer {
@@ -435,7 +452,6 @@ impl Kernel {
     }
 
     /// Emit the structured counterpart of a dispatched scheduler event.
-    #[cfg(feature = "trace")]
     pub(crate) fn trace_dispatch(&self, e: &Event) {
         match e.kind {
             EventKind::Wake(a) => self.temit(e.time, a, hupc_trace::EventKind::Wake, e.seq, 0),
@@ -460,33 +476,6 @@ impl Kernel {
     /// counters differ.
     pub fn set_fast_path(&mut self, on: bool) {
         self.fast_path = on;
-    }
-
-    /// Whether the scheduler-bypass fast path is enabled.
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
-    }
-
-    /// Start recording every processed event (including bypassed ones) into
-    /// an in-memory log; retrieve it with [`Kernel::take_event_log`].
-    pub fn record_event_log(&mut self, on: bool) {
-        self.event_log = if on { Some(Vec::new()) } else { None };
-    }
-
-    /// Take the recorded event log (empty if recording was never enabled).
-    pub fn take_event_log(&mut self) -> Vec<TraceEvent> {
-        self.event_log.take().unwrap_or_default()
-    }
-
-    pub(crate) fn log_event(&mut self, time: Time, seq: u64, kind: EventKind) {
-        if let Some(log) = &mut self.event_log {
-            let kind = match kind {
-                EventKind::Wake(a) => TraceKind::Wake(a),
-                EventKind::Complete(c) => TraceKind::Complete(c.0),
-                EventKind::Timeout(a, _) => TraceKind::Timeout(a),
-            };
-            log.push(TraceEvent { time, seq, kind });
-        }
     }
 
     /// Current virtual time.
@@ -638,8 +627,6 @@ impl Kernel {
         self.next_seq += 1;
         self.actors[actor].wake_epoch += 1; // voids outstanding timeouts
         self.actors[actor].note(RecentOp::Bypassed(t));
-        self.log_event(t, seq, EventKind::Wake(actor));
-        #[cfg(feature = "trace")]
         self.temit(t, actor, hupc_trace::EventKind::FastPathBypass, seq, 0);
         self.set_now(t);
         self.fast_path_hits += 1;
@@ -658,7 +645,6 @@ impl Kernel {
         self.actors[actor].wake_epoch += 1; // voids outstanding timeouts
         let now = self.now;
         self.actors[actor].note(RecentOp::Scheduled(now, time));
-        #[cfg(feature = "trace")]
         self.temit(self.now, actor, hupc_trace::EventKind::Schedule, time, 0);
         self.push_event(time, EventKind::Wake(actor));
     }
@@ -669,7 +655,6 @@ impl Kernel {
         let now = self.now;
         self.actors[actor].blocked_since = now;
         self.actors[actor].note(RecentOp::Parked(now, on));
-        #[cfg(feature = "trace")]
         self.temit(self.now, actor, hupc_trace::EventKind::Park, park_code(on), 0);
     }
 
@@ -840,11 +825,6 @@ impl Kernel {
         n
     }
 
-    /// Number of actors currently parked on `cond`.
-    pub fn cond_waiter_count(&self, cond: CondId) -> usize {
-        self.conds[cond.0].waiters.len()
-    }
-
     // ----- barriers ---------------------------------------------------------
 
     /// Create a reusable barrier for `parties` actors.
@@ -881,11 +861,6 @@ impl Kernel {
             }
         }
         true
-    }
-
-    /// Parties the barrier was created with.
-    pub fn barrier_parties(&self, bar: BarrierId) -> usize {
-        self.barriers[bar.0].parties
     }
 
     // ----- mutexes ----------------------------------------------------------
@@ -935,11 +910,6 @@ impl Kernel {
             let now = self.now;
             self.wake_at(now, next);
         }
-    }
-
-    /// Whether the mutex is currently held.
-    pub fn mutex_is_locked(&self, m: MutexId) -> bool {
-        self.mutexes[m.0].owner.is_some()
     }
 
     // ----- diagnostics ------------------------------------------------------
@@ -1214,7 +1184,8 @@ mod tests {
     #[test]
     fn bypass_resume_accounts_like_a_popped_event() {
         let mut k = Kernel::new();
-        k.record_event_log(true);
+        let tracer = std::sync::Arc::new(hupc_trace::Tracer::new(hupc_trace::TraceLevel::Full));
+        k.set_tracer(Some(std::sync::Arc::clone(&tracer)));
         let exit = k.new_completion();
         k.actors.push(ActorMeta {
             name: "a".into(),
@@ -1231,9 +1202,8 @@ mod tests {
         assert_eq!(k.events_processed(), 1);
         assert_eq!(k.fast_path_hits, 1);
         assert_eq!(k.actors[0].wake_epoch, 4);
-        let log = k.take_event_log();
         assert_eq!(
-            log,
+            TraceEvent::log_of(&tracer),
             vec![TraceEvent { time: 42, seq: 0, kind: TraceKind::Wake(0) }]
         );
         // the consumed sequence number is gone: the next push gets seq 1

@@ -82,8 +82,7 @@ pub use kernel::{
 pub use queue::SimQueue;
 pub use time::Time;
 
-/// Structured virtual-time event tracing (re-export of `hupc-trace`).
-/// Present only with the `trace` feature (on by default); see
-/// [`Simulation::set_tracer`] and [`Ctx::trace_emit`].
-#[cfg(feature = "trace")]
+/// Structured virtual-time event tracing (re-export of `hupc-trace`), always
+/// compiled in; see [`Simulation::set_tracer`], [`Ctx::trace_emit`] and
+/// [`TraceEvent::project`].
 pub use hupc_trace as trace;

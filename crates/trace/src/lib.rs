@@ -24,10 +24,9 @@
 //!
 //! # Cost model
 //!
-//! The level check is a single relaxed atomic load; with the tracer absent
-//! (the default) instrumented code branches on an `Option` and does nothing.
-//! Compile the `trace` feature out of the runtime crates
-//! (`--no-default-features`) and the instrumentation disappears entirely.
+//! Tracing is always compiled in and gated at run time. The level check is
+//! a single relaxed atomic load; with the tracer absent (the default)
+//! instrumented code branches on an `Option` and does nothing.
 
 mod export;
 mod metrics;

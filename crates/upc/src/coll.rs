@@ -41,7 +41,6 @@ impl<'a> Upc<'a> {
     pub fn broadcast_words_flat(&self, root: usize, words: &mut [u64]) {
         let p = self.threads();
         let me = self.mythread();
-        #[cfg(feature = "trace")]
         self.ctx().trace_emit(
             hupc_trace::EventKind::CollBegin,
             hupc_trace::coll::BROADCAST,
@@ -79,9 +78,7 @@ impl<'a> Upc<'a> {
             self.barrier();
             self.gasnet().segment(me).read(scratch, chunk);
         }
-        #[cfg(feature = "trace")]
-        self.ctx()
-            .trace_emit(hupc_trace::EventKind::CollEnd, hupc_trace::coll::BROADCAST, 0);
+        self.ctx().trace_emit(hupc_trace::EventKind::CollEnd, hupc_trace::coll::BROADCAST, 0);
     }
 
     /// Broadcast one word from `root`.
@@ -140,9 +137,7 @@ impl<'a> Upc<'a> {
     {
         let p = self.threads();
         let me = self.mythread();
-        #[cfg(feature = "trace")]
-        self.ctx()
-            .trace_emit(hupc_trace::EventKind::CollBegin, hupc_trace::coll::ALLREDUCE, 1);
+        self.ctx().trace_emit(hupc_trace::EventKind::CollBegin, hupc_trace::coll::ALLREDUCE, 1);
         let gather = self.runtime().scratch_off + HALF;
         let waves = p.div_ceil(HALF);
         let mut acc: Option<A> = None;
@@ -168,9 +163,7 @@ impl<'a> Upc<'a> {
         }
         let result = acc.map(Into::into).unwrap_or(0);
         let r = self.broadcast_word(0, result);
-        #[cfg(feature = "trace")]
-        self.ctx()
-            .trace_emit(hupc_trace::EventKind::CollEnd, hupc_trace::coll::ALLREDUCE, 0);
+        self.ctx().trace_emit(hupc_trace::EventKind::CollEnd, hupc_trace::coll::ALLREDUCE, 0);
         r
     }
 
@@ -247,7 +240,6 @@ impl<'a> Upc<'a> {
         let me = self.mythread();
         let b = mine.len();
         assert_eq!(out.len(), p * b);
-        #[cfg(feature = "trace")]
         self.ctx().trace_emit(
             hupc_trace::EventKind::CollBegin,
             hupc_trace::coll::ALLGATHER,
@@ -282,9 +274,7 @@ impl<'a> Upc<'a> {
             // until every thread has taken its final read.
             self.barrier();
         }
-        #[cfg(feature = "trace")]
-        self.ctx()
-            .trace_emit(hupc_trace::EventKind::CollEnd, hupc_trace::coll::ALLGATHER, 0);
+        self.ctx().trace_emit(hupc_trace::EventKind::CollEnd, hupc_trace::coll::ALLGATHER, 0);
     }
 
     /// Group-staged barrier: arrives intra-group, synchronizes leaders over
@@ -347,7 +337,6 @@ impl<'a> Upc<'a> {
     ) {
         let p = self.threads();
         let me = self.mythread();
-        #[cfg(feature = "trace")]
         self.ctx().trace_emit(
             hupc_trace::EventKind::CollBegin,
             hupc_trace::coll::ALL_EXCHANGE,
@@ -372,7 +361,6 @@ impl<'a> Upc<'a> {
             self.wait_sync(h);
         }
         self.barrier();
-        #[cfg(feature = "trace")]
         self.ctx().trace_emit(
             hupc_trace::EventKind::CollEnd,
             hupc_trace::coll::ALL_EXCHANGE,

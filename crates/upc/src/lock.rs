@@ -45,7 +45,6 @@ impl UpcLock {
     }
 
     /// Whether the lock's home partition is memory-reachable from `me`.
-    #[cfg(feature = "trace")]
     fn is_local_for(&self, upc: &Upc<'_>) -> bool {
         upc.gasnet().castable(upc.mythread(), self.home)
     }
@@ -54,22 +53,18 @@ impl UpcLock {
     pub fn lock(&self, upc: &Upc<'_>) {
         upc.ctx().advance(self.op_cost(upc));
         upc.ctx().mutex_lock(self.mutex);
-        #[cfg(feature = "trace")]
-        {
-            upc.ctx().trace_emit(
-                hupc_trace::EventKind::LockAcquire,
-                self.home as u64,
-                self.is_local_for(upc) as u64,
-            );
-            upc.trace_count("upc.locks", 1);
-        }
+        upc.ctx().trace_emit(
+            hupc_trace::EventKind::LockAcquire,
+            self.home as u64,
+            self.is_local_for(upc) as u64,
+        );
+        upc.trace_count("upc.locks", 1);
     }
 
     /// `upc_lock_attempt`: try without blocking. Costs a message either way.
     pub fn try_lock(&self, upc: &Upc<'_>) -> bool {
         upc.ctx().advance(self.op_cost(upc));
         let got = upc.ctx().mutex_try_lock(self.mutex);
-        #[cfg(feature = "trace")]
         if got {
             upc.ctx().trace_emit(
                 hupc_trace::EventKind::LockAcquire,
@@ -85,9 +80,7 @@ impl UpcLock {
     pub fn unlock(&self, upc: &Upc<'_>) {
         upc.ctx().advance(self.op_cost(upc));
         upc.ctx().mutex_unlock(self.mutex);
-        #[cfg(feature = "trace")]
-        upc.ctx()
-            .trace_emit(hupc_trace::EventKind::LockRelease, self.home as u64, 0);
+        upc.ctx().trace_emit(hupc_trace::EventKind::LockRelease, self.home as u64, 0);
     }
 }
 

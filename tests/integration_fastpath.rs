@@ -3,10 +3,13 @@
 //! execution — same events, same times, same sequence numbers, same
 //! per-actor results. These tests pin that contract.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use hupc::gasnet::FaultPlan;
 use hupc::sim::{set_fast_path_default, time, Simulation, SimulationStats, TraceEvent};
+use hupc::trace::{TraceLevel, Tracer};
 use hupc::uts::{run_uts, StealStrategy, UtsConfig};
 
 /// splitmix64 — the test's own op-stream generator, so one `seed` pins an
@@ -27,9 +30,10 @@ fn next(s: &mut u64) -> u64 {
 fn run_program(seed: u64, fast: bool) -> (Vec<TraceEvent>, SimulationStats) {
     let mut sim = Simulation::new();
     sim.set_fast_path(fast);
+    let tracer = Arc::new(Tracer::new(TraceLevel::Full));
+    sim.set_tracer(Some(Arc::clone(&tracer)));
     let (res, bar, mtx, n_actors, rounds) = {
         let mut k = sim.kernel();
-        k.record_event_log(true);
         let n_actors = 2 + (seed % 3) as usize;
         (
             k.new_resource("shared-link"),
@@ -67,8 +71,7 @@ fn run_program(seed: u64, fast: bool) -> (Vec<TraceEvent>, SimulationStats) {
         });
     }
     let stats = sim.run();
-    let log = sim.kernel().take_event_log();
-    (log, stats)
+    (TraceEvent::log_of(&tracer), stats)
 }
 
 proptest! {
