@@ -13,7 +13,7 @@ use hupc::net::Conduit;
 use hupc::topo::{BindPolicy, MachineSpec};
 use hupc::uts::{run_uts, StealStrategy, UtsConfig};
 
-use crate::Table;
+use crate::{Metrics, Table};
 
 fn granularity_table(quick: bool) -> Table {
     let mut t = Table::new(
@@ -68,6 +68,6 @@ fn overlap_table(quick: bool) -> Table {
     t
 }
 
-pub fn run(quick: bool) -> Vec<Table> {
-    vec![granularity_table(quick), overlap_table(quick)]
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
+    (vec![granularity_table(quick), overlap_table(quick)], Metrics::default())
 }

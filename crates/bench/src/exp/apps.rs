@@ -8,43 +8,14 @@
 //! semantic or performance change, not host noise.
 //!
 //! The committed baseline gates the three breadth-wave apps (`md`, `cg`,
-//! `stencil2d`): their fault-free virtual seconds must
-//! stay within 2x of the baseline, and every sweep cell must pass its
-//! oracle.
+//! `stencil2d`): their fault-free virtual seconds must stay within 2x of
+//! the baseline, and every sweep cell must pass its oracle
+//! (`failed_runs` ≤ 0).
 
 use hupc::app::{run_by_name, Params, Registry};
 use hupc::gasnet::FaultPlan;
 
-use crate::Table;
-
-/// Headline metrics for `BENCH_apps.json`: the per-app virtual seconds the
-/// CI gate ratios, the pass counters, and the full per-run report array.
-#[derive(Clone, Debug, Default)]
-pub struct AppsMetrics {
-    pub md_seconds: f64,
-    pub cg_seconds: f64,
-    pub stencil2d_seconds: f64,
-    /// Sweep cells whose workload oracle passed / total cells run.
-    pub passed_runs: f64,
-    pub total_runs: f64,
-    /// `RunReport::to_json` for every cell, in sweep order.
-    pub runs: Vec<String>,
-}
-
-impl AppsMetrics {
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"md_seconds\":{:.9},\"cg_seconds\":{:.9},\"stencil2d_seconds\":{:.9},\
-             \"passed_runs\":{:.0},\"total_runs\":{:.0},\"runs\":[{}]}}",
-            self.md_seconds,
-            self.cg_seconds,
-            self.stencil2d_seconds,
-            self.passed_runs,
-            self.total_runs,
-            self.runs.join(","),
-        )
-    }
-}
+use crate::{Metrics, Table};
 
 /// The sweep's fault dimension: fault-free, plus (on full runs) a 3x CPU
 /// straggler on node 1 — timing-only, so every oracle must still pass.
@@ -56,13 +27,16 @@ fn fault_plans(quick: bool) -> Vec<(&'static str, Option<FaultPlan>)> {
     plans
 }
 
-pub fn run(quick: bool) -> (Vec<Table>, AppsMetrics) {
+/// Headline metrics: the fault-free virtual seconds of `md`, `cg` and
+/// `stencil2d`, the pass counters, and every cell's `RunReport` as `runs`.
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let reg = Registry::builtin();
     let mut t = Table::new(
         "Workload sweep (registry x fault, virtual time)",
         &["workload", "fault", "passed", "virtual s", "oracle"],
     );
-    let mut m = AppsMetrics::default();
+    let mut m = Metrics::default();
+    let (mut passed, mut total) = (0.0, 0.0);
 
     for w in reg.iter() {
         for (fault_label, fault) in fault_plans(quick) {
@@ -71,19 +45,14 @@ pub fn run(quick: bool) -> (Vec<Table>, AppsMetrics) {
             let report = run_by_name(&reg, w.name(), &env, &Params::empty(), fault_label)
                 .unwrap_or_else(|e| panic!("{} failed to run: {e}", w.name()));
             let v = &report.verified;
-            m.total_runs += 1.0;
+            total += 1.0;
             if v.passed {
-                m.passed_runs += 1.0;
+                passed += 1.0;
             }
             // The gated per-app numbers come from the fault-free cell — the
             // canonical configuration.
-            if fault_label == "none" {
-                match w.name() {
-                    "md" => m.md_seconds = v.end_seconds,
-                    "cg" => m.cg_seconds = v.end_seconds,
-                    "stencil2d" => m.stencil2d_seconds = v.end_seconds,
-                    _ => {}
-                }
+            if fault_label == "none" && ["md", "cg", "stencil2d"].contains(&w.name()) {
+                m.push(format!("{}_seconds", w.name()), v.end_seconds);
             }
             t.row(vec![
                 report.workload.clone(),
@@ -95,6 +64,9 @@ pub fn run(quick: bool) -> (Vec<Table>, AppsMetrics) {
             m.runs.push(report.to_json());
         }
     }
+    m.push("passed_runs", passed);
+    m.push("total_runs", total);
+    m.push("failed_runs", total - passed);
     (vec![t], m)
 }
 
@@ -113,19 +85,12 @@ mod tests {
         let reg = Registry::builtin();
         assert!(builtin_registry_has_breadth_apps(&reg));
         let (_tables, m) = run(true);
-        assert_eq!(m.passed_runs, m.total_runs, "{}", m.to_json());
-        assert!(m.md_seconds > 0.0);
-        assert!(m.cg_seconds > 0.0);
-        assert!(m.stencil2d_seconds > 0.0);
-        // The gated keys must survive a to_json round trip.
-        let j = m.to_json();
+        assert_eq!(m.get("failed_runs"), Some(0.0), "{}", m.to_json());
+        assert_eq!(m.get("passed_runs"), m.get("total_runs"));
+        assert_eq!(m.runs.len() as f64, m.get("total_runs").unwrap());
         for key in ["md_seconds", "cg_seconds", "stencil2d_seconds"] {
-            assert!(crate::report::json_number(&j, key).unwrap() > 0.0);
+            assert!(m.get(key).unwrap() > 0.0, "{key}");
         }
-        assert_eq!(
-            crate::report::json_number(&j, "passed_runs"),
-            crate::report::json_number(&j, "total_runs")
-        );
     }
 
     /// The full sweep adds the straggler fault dimension — timing-only, so
@@ -135,7 +100,7 @@ mod tests {
     #[ignore = "full sweep; run with --ignored"]
     fn full_sweep_with_faults_all_pass() {
         let (_tables, m) = run(false);
-        assert_eq!(m.passed_runs, m.total_runs, "{}", m.to_json());
-        assert_eq!(m.total_runs, (Registry::builtin().len() * 2) as f64);
+        assert_eq!(m.get("failed_runs"), Some(0.0), "{}", m.to_json());
+        assert_eq!(m.get("total_runs"), Some((Registry::builtin().len() * 2) as f64));
     }
 }

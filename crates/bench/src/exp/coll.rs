@@ -13,70 +13,16 @@
 //! message coalescing (one message per destination *node*) is the whole
 //! effect.
 //!
-//! The binary writes `BENCH_coll.json`; with `--check <path>` it fails
-//! when the headline broadcast/allreduce speedups drop below 2x (or below
-//! half the committed baseline on full runs) — the CI perf-smoke gate.
+//! The metrics go to `BENCH_coll.json`; `--check` fails when the headline
+//! broadcast/allreduce speedups drop below 2x (or below half the committed
+//! baseline on full runs) — the CI perf-smoke gate.
 
 use std::sync::Arc;
 
 use hupc::prelude::*;
 use hupc::sim::time;
 
-use crate::Table;
-
-/// The numbers `BENCH_coll.json` records.
-#[derive(Clone, Copy, Debug)]
-pub struct CollMetrics {
-    pub threads: f64,
-    pub bcast_flat_ms: f64,
-    pub bcast_hier_ms: f64,
-    pub bcast_speedup: f64,
-    pub allreduce_flat_ms: f64,
-    pub allreduce_hier_ms: f64,
-    pub allreduce_speedup: f64,
-    pub allgather_flat_ms: f64,
-    pub allgather_hier_ms: f64,
-    pub allgather_speedup: f64,
-    pub exchange_flat_ms: f64,
-    pub exchange_hier_ms: f64,
-    pub exchange_speedup: f64,
-    pub barrier_flat_us: f64,
-    pub barrier_hier_us: f64,
-    pub barrier_speedup: f64,
-}
-
-impl CollMetrics {
-    /// Flat JSON object, one numeric field per metric (the shape
-    /// [`crate::exp::simcore::json_number`] reads).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"threads\": {:.0},\n  \"bcast_flat_ms\": {:.3},\n  \
-             \"bcast_hier_ms\": {:.3},\n  \"bcast_speedup\": {:.2},\n  \
-             \"allreduce_flat_ms\": {:.3},\n  \"allreduce_hier_ms\": {:.3},\n  \
-             \"allreduce_speedup\": {:.2},\n  \"allgather_flat_ms\": {:.3},\n  \
-             \"allgather_hier_ms\": {:.3},\n  \"allgather_speedup\": {:.2},\n  \
-             \"exchange_flat_ms\": {:.3},\n  \"exchange_hier_ms\": {:.3},\n  \
-             \"exchange_speedup\": {:.2},\n  \"barrier_flat_us\": {:.3},\n  \
-             \"barrier_hier_us\": {:.3},\n  \"barrier_speedup\": {:.2}\n}}\n",
-            self.threads,
-            self.bcast_flat_ms,
-            self.bcast_hier_ms,
-            self.bcast_speedup,
-            self.allreduce_flat_ms,
-            self.allreduce_hier_ms,
-            self.allreduce_speedup,
-            self.allgather_flat_ms,
-            self.allgather_hier_ms,
-            self.allgather_speedup,
-            self.exchange_flat_ms,
-            self.exchange_hier_ms,
-            self.exchange_speedup,
-            self.barrier_flat_us,
-            self.barrier_hier_us,
-            self.barrier_speedup,
-        )
-    }
-}
+use crate::{Metrics, Table};
 
 /// Virtual seconds one collective `op` takes: barrier, timestamp, op,
 /// barrier, timestamp — measured on thread 0 (the closing barrier makes
@@ -145,7 +91,7 @@ fn exchange_seconds(spec: &MachineSpec, threads: usize, nodes: usize, hier: bool
     time::as_secs_f64(Arc::try_unwrap(dt).expect("job done").into_inner())
 }
 
-pub fn run(quick: bool) -> (Vec<Table>, CollMetrics) {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     // Pyramid slice for the rooted/staged ops; Lehman for the all-to-all.
     let pyramid = MachineSpec::pyramid();
     let lehman = MachineSpec::lehman();
@@ -191,24 +137,22 @@ pub fn run(quick: bool) -> (Vec<Table>, CollMetrics) {
     let exch_flat = exchange_seconds(&lehman, le_threads, le_nodes, false, bw);
     let exch_hier = exchange_seconds(&lehman, le_threads, le_nodes, true, bw);
 
-    let m = CollMetrics {
-        threads: py_threads as f64,
-        bcast_flat_ms: bcast_flat * 1e3,
-        bcast_hier_ms: bcast_hier * 1e3,
-        bcast_speedup: bcast_flat / bcast_hier,
-        allreduce_flat_ms: red_flat * 1e3,
-        allreduce_hier_ms: red_hier * 1e3,
-        allreduce_speedup: red_flat / red_hier,
-        allgather_flat_ms: gat_flat * 1e3,
-        allgather_hier_ms: gat_hier * 1e3,
-        allgather_speedup: gat_flat / gat_hier,
-        exchange_flat_ms: exch_flat * 1e3,
-        exchange_hier_ms: exch_hier * 1e3,
-        exchange_speedup: exch_flat / exch_hier,
-        barrier_flat_us: bar_flat * 1e6 / barrier_reps as f64,
-        barrier_hier_us: bar_hier * 1e6 / barrier_reps as f64,
-        barrier_speedup: bar_flat / bar_hier,
-    };
+    let barrier_us = |s: f64| s * 1e6 / barrier_reps as f64;
+    let mut m = Metrics::default();
+    m.push("threads", py_threads as f64);
+    for (op, flat, hier) in [
+        ("bcast", bcast_flat, bcast_hier),
+        ("allreduce", red_flat, red_hier),
+        ("allgather", gat_flat, gat_hier),
+        ("exchange", exch_flat, exch_hier),
+    ] {
+        m.push(format!("{op}_flat_ms"), flat * 1e3);
+        m.push(format!("{op}_hier_ms"), hier * 1e3);
+        m.push(format!("{op}_speedup"), flat / hier);
+    }
+    m.push("barrier_flat_us", barrier_us(bar_flat));
+    m.push("barrier_hier_us", barrier_us(bar_hier));
+    m.push("barrier_speedup", bar_flat / bar_hier);
 
     let mut t = Table::new(
         format!(
@@ -223,35 +167,35 @@ pub fn run(quick: bool) -> (Vec<Table>, CollMetrics) {
         format!("{bcast_words} words"),
         ms(bcast_flat),
         ms(bcast_hier),
-        format!("{:.2}x", m.bcast_speedup),
+        format!("{:.2}x", bcast_flat / bcast_hier),
     ]);
     t.row(vec![
         "allreduce (vec)".into(),
         format!("{red_words} words"),
         ms(red_flat),
         ms(red_hier),
-        format!("{:.2}x", m.allreduce_speedup),
+        format!("{:.2}x", red_flat / red_hier),
     ]);
     t.row(vec![
         "allgather".into(),
         format!("{gather_words} words/thread"),
         ms(gat_flat),
         ms(gat_hier),
-        format!("{:.2}x", m.allgather_speedup),
+        format!("{:.2}x", gat_flat / gat_hier),
     ]);
     t.row(vec![
         "all-to-all".into(),
         format!("{bw} words/pair"),
         ms(exch_flat),
         ms(exch_hier),
-        format!("{:.2}x", m.exchange_speedup),
+        format!("{:.2}x", exch_flat / exch_hier),
     ]);
     t.row(vec![
         "barrier".into(),
         format!("{barrier_reps} reps"),
         ms(bar_flat),
         ms(bar_hier),
-        format!("{:.2}x", m.barrier_speedup),
+        format!("{:.2}x", bar_flat / bar_hier),
     ]);
 
     (vec![t], m)
@@ -260,34 +204,6 @@ pub fn run(quick: bool) -> (Vec<Table>, CollMetrics) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp::simcore::json_number;
-
-    #[test]
-    fn json_round_trips_through_the_checker() {
-        let m = CollMetrics {
-            threads: 1024.0,
-            bcast_flat_ms: 10.5,
-            bcast_hier_ms: 2.1,
-            bcast_speedup: 5.0,
-            allreduce_flat_ms: 8.0,
-            allreduce_hier_ms: 1.0,
-            allreduce_speedup: 8.0,
-            allgather_flat_ms: 3.0,
-            allgather_hier_ms: 1.5,
-            allgather_speedup: 2.0,
-            exchange_flat_ms: 4.0,
-            exchange_hier_ms: 2.0,
-            exchange_speedup: 2.0,
-            barrier_flat_us: 9.0,
-            barrier_hier_us: 4.5,
-            barrier_speedup: 2.0,
-        };
-        let j = m.to_json();
-        assert_eq!(json_number(&j, "bcast_speedup"), Some(5.0));
-        assert_eq!(json_number(&j, "allreduce_speedup"), Some(8.0));
-        assert_eq!(json_number(&j, "barrier_hier_us"), Some(4.5));
-        assert_eq!(json_number(&j, "missing"), None);
-    }
 
     #[test]
     fn tiny_sweep_reports_hierarchical_wins() {

@@ -10,13 +10,13 @@ use hupc::gasnet::FaultPlan;
 use hupc::net::Conduit;
 use hupc::uts::{run_uts, sequential_traverse, StealStrategy, TreeParams, UtsConfig};
 
-use crate::Table;
+use crate::{Metrics, Table};
 
 /// Loss rates of the sweep (the ISSUE's 1–5% band plus the fault-free
 /// baseline the others are normalized against).
 pub const LOSS_RATES: [f64; 4] = [0.0, 0.01, 0.02, 0.05];
 
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let threads = if quick { 16 } else { 32 };
     let expected = sequential_traverse(&TreeParams::thesis_binomial()).0;
     let mut t = Table::new(
@@ -46,5 +46,5 @@ pub fn run(quick: bool) -> Vec<Table> {
             if r.total_nodes == expected { "yes" } else { "NO" }.to_string(),
         ]);
     }
-    vec![t]
+    (vec![t], Metrics::default())
 }

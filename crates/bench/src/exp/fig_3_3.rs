@@ -4,7 +4,7 @@
 use hupc::net::Conduit;
 use hupc::uts::{run_uts, StealStrategy, UtsConfig};
 
-use crate::Table;
+use crate::{Metrics, Table};
 
 pub const STRATEGIES: [StealStrategy; 3] = [
     StealStrategy::Random,
@@ -12,7 +12,7 @@ pub const STRATEGIES: [StealStrategy; 3] = [
     StealStrategy::LocalFirstRapid,
 ];
 
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let threads: &[usize] = if quick { &[16, 32] } else { &[16, 32, 64, 128] };
     let mut tables = Vec::new();
     for (label, conduit) in [
@@ -33,5 +33,5 @@ pub fn run(quick: bool) -> Vec<Table> {
         }
         tables.push(t);
     }
-    tables
+    (tables, Metrics::default())
 }

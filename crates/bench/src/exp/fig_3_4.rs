@@ -11,7 +11,7 @@ use hupc::gasnet::{Backend, Overheads};
 use hupc::net::Conduit;
 use hupc::topo::{BindPolicy, MachineSpec};
 
-use crate::Table;
+use crate::{Metrics, Table};
 
 /// The thesis' thread layouts: `total (procs × pthreads-per-proc)`.
 pub const LAYOUTS: [(usize, usize, usize); 5] =
@@ -86,7 +86,7 @@ fn comm_seconds(
     run_ft_upc(cfg).comm_seconds
 }
 
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let mut a = Table::new(
         "Fig 3.4(a) — FT class B all-to-all, blocking memput: % improvement over UPC processes (4 Lehman nodes)",
         &{
@@ -122,5 +122,5 @@ pub fn run(quick: bool) -> Vec<Table> {
         }
         b.row(cells);
     }
-    vec![a, b]
+    (vec![a, b], Metrics::default())
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use hupc::prelude::*;
 use hupc::sim::SimCell;
 
-use crate::Table;
+use crate::{Metrics, Table};
 
 const LINKS: [usize; 4] = [1, 2, 4, 8];
 const LAT_SIZES: [usize; 6] = [8, 64, 512, 1 << 12, 1 << 15, 1 << 17];
@@ -97,7 +97,7 @@ fn flood_mbps(links: usize, pthreads: bool, bytes: usize, reps: usize) -> f64 {
     out.get()
 }
 
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let reps = if quick { 4 } else { 16 };
     let mut lat = Table::new(
         "Fig 4.2(a) — round-trip memget latency (µs), 2 Lehman nodes, QDR IB",
@@ -129,7 +129,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         }
         bw.row(cells);
     }
-    vec![lat, bw]
+    (vec![lat, bw], Metrics::default())
 }
 
 fn human(bytes: usize) -> String {

@@ -6,7 +6,7 @@ use hupc::gasnet::Backend;
 use hupc::net::Conduit;
 use hupc::topo::{BindPolicy, MachineSpec};
 
-use crate::Table;
+use crate::{Metrics, Table};
 
 fn run_one(threads: usize, exchange: ExchangeKind, quick: bool) -> FtResult {
     let nodes = threads.min(8);
@@ -27,7 +27,7 @@ fn run_one(threads: usize, exchange: ExchangeKind, quick: bool) -> FtResult {
     })
 }
 
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let threads: &[usize] = if quick {
         &[1, 4, 16, 64]
     } else {
@@ -53,5 +53,5 @@ pub fn run(quick: bool) -> Vec<Table> {
             sp(base_olap.comm_seconds, o.comm_seconds),
         ]);
     }
-    vec![t]
+    (vec![t], Metrics::default())
 }

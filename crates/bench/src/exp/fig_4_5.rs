@@ -10,7 +10,7 @@ use hupc::net::Conduit;
 use hupc::subthreads::SubthreadModel;
 use hupc::topo::{BindPolicy, MachineSpec};
 
-use crate::Table;
+use crate::{Metrics, Table};
 
 fn base_cfg(machine: MachineSpec, nodes: usize, threads: usize, quick: bool) -> FtConfig {
     FtConfig {
@@ -76,10 +76,10 @@ fn platform_table(
     t
 }
 
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let lehman_totals: &[usize] = if quick { &[8, 32] } else { &[8, 16, 32, 64, 128] };
     let pyramid_totals: &[usize] = if quick { &[16, 32] } else { &[16, 32, 64, 128] };
-    vec![
+    let tables = vec![
         platform_table(
             "Lehman",
             MachineSpec::lehman().with_nodes(8),
@@ -96,5 +96,6 @@ pub fn run(quick: bool) -> Vec<Table> {
             pyramid_totals,
             quick,
         ),
-    ]
+    ];
+    (tables, Metrics::default())
 }

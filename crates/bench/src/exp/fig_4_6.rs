@@ -13,7 +13,7 @@ use hupc::net::Conduit;
 use hupc::subthreads::SubthreadModel;
 use hupc::topo::{BindPolicy, MachineSpec};
 
-use crate::Table;
+use crate::{Metrics, Table};
 
 /// (UPC threads × sub-threads) configurations of panels (a)/(b).
 pub const CONFIGS: [(usize, usize); 9] = [
@@ -170,12 +170,13 @@ fn scalability_table(runner: &mut Runner, ex: ExchangeKind, quick: bool, panel: 
     t
 }
 
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let mut runner = Runner::new(quick);
-    vec![
+    let tables = vec![
         improvement_table(&mut runner, ExchangeKind::SplitPhase, quick, "a"),
         improvement_table(&mut runner, ExchangeKind::Overlap, quick, "b"),
         scalability_table(&mut runner, ExchangeKind::SplitPhase, quick, "c"),
         scalability_table(&mut runner, ExchangeKind::Overlap, quick, "d"),
-    ]
+    ];
+    (tables, Metrics::default())
 }

@@ -17,9 +17,8 @@
 //!    straight from the source segment. Virtual time must be identical; the
 //!    run asserts it.
 //!
-//! The binary writes `BENCH_hostkern.json` and, with `--check <path>`,
-//! fails when any headline metric regressed more than 2x against a
-//! previously committed baseline.
+//! The metrics go to `BENCH_hostkern.json`; `--check` fails when any
+//! headline metric regressed more than 2x against the committed baseline.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -29,44 +28,7 @@ use hupc::prelude::*;
 use hupc::upc::PgasElem;
 use hupc::uts::{sha1, sha1_child, sha1_children};
 
-use crate::Table;
-
-/// The numbers `BENCH_hostkern.json` records.
-#[derive(Clone, Copy, Debug)]
-pub struct HostkernMetrics {
-    pub sha1_scalar_mb_s: f64,
-    pub sha1_batched_mb_s: f64,
-    pub sha1_speedup: f64,
-    pub fft_radix2_mflops: f64,
-    pub fft_radix4_mflops: f64,
-    pub fft_speedup: f64,
-    pub bulk_staged_melems_s: f64,
-    pub bulk_zero_copy_melems_s: f64,
-    pub bulk_speedup: f64,
-}
-
-impl HostkernMetrics {
-    /// Flat JSON object, one numeric field per metric (the shape
-    /// [`crate::exp::simcore::json_number`] reads).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"sha1_scalar_mb_s\": {:.1},\n  \"sha1_batched_mb_s\": {:.1},\n  \
-             \"sha1_speedup\": {:.2},\n  \"fft_radix2_mflops\": {:.0},\n  \
-             \"fft_radix4_mflops\": {:.0},\n  \"fft_speedup\": {:.2},\n  \
-             \"bulk_staged_melems_s\": {:.1},\n  \"bulk_zero_copy_melems_s\": {:.1},\n  \
-             \"bulk_speedup\": {:.2}\n}}\n",
-            self.sha1_scalar_mb_s,
-            self.sha1_batched_mb_s,
-            self.sha1_speedup,
-            self.fft_radix2_mflops,
-            self.fft_radix4_mflops,
-            self.fft_speedup,
-            self.bulk_staged_melems_s,
-            self.bulk_zero_copy_melems_s,
-            self.bulk_speedup,
-        )
-    }
-}
+use crate::{Metrics, Table};
 
 /// SHA-1 child derivation throughput in MB/s (64-byte compressed block per
 /// child), scalar vs batched. Both walk the same parent chain.
@@ -178,7 +140,7 @@ fn bulk_throughput(count: usize, iters: usize) -> ((f64, f64), (u64, u64)) {
     ((staged, zero), (vt_staged, vt_zero))
 }
 
-pub fn run(quick: bool) -> (Vec<Table>, HostkernMetrics) {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let (parents, batch) = if quick { (2_000, 256) } else { (20_000, 256) };
     let (fft_n, fft_iters) = if quick { (1 << 12, 200) } else { (1 << 14, 500) };
     let (bulk_count, bulk_iters) = if quick { (4_096, 500) } else { (4_096, 5_000) };
@@ -197,17 +159,18 @@ pub fn run(quick: bool) -> (Vec<Table>, HostkernMetrics) {
         "zero-copy bulk path changed virtual time"
     );
 
-    let m = HostkernMetrics {
-        sha1_scalar_mb_s: sha_scalar,
-        sha1_batched_mb_s: sha_batched,
-        sha1_speedup: sha_batched / sha_scalar,
-        fft_radix2_mflops: fft_r2,
-        fft_radix4_mflops: fft_r4,
-        fft_speedup: fft_r4 / fft_r2,
-        bulk_staged_melems_s: bulk_staged,
-        bulk_zero_copy_melems_s: bulk_zero,
-        bulk_speedup: bulk_zero / bulk_staged,
-    };
+    let (sha_speedup, fft_speedup, bulk_speedup) =
+        (sha_batched / sha_scalar, fft_r4 / fft_r2, bulk_zero / bulk_staged);
+    let mut m = Metrics::default();
+    m.push("sha1_scalar_mb_s", sha_scalar);
+    m.push("sha1_batched_mb_s", sha_batched);
+    m.push("sha1_speedup", sha_speedup);
+    m.push("fft_radix2_mflops", fft_r2);
+    m.push("fft_radix4_mflops", fft_r4);
+    m.push("fft_speedup", fft_speedup);
+    m.push("bulk_staged_melems_s", bulk_staged);
+    m.push("bulk_zero_copy_melems_s", bulk_zero);
+    m.push("bulk_speedup", bulk_speedup);
 
     let mut t1 = Table::new(
         format!("Host kernel — SHA-1 child derivation ({parents} parents × {batch} children)"),
@@ -215,13 +178,13 @@ pub fn run(quick: bool) -> (Vec<Table>, HostkernMetrics) {
     );
     t1.row(vec![
         "scalar sha1_child".into(),
-        format!("{:.1}", m.sha1_scalar_mb_s),
+        format!("{sha_scalar:.1}"),
         "1.00x".into(),
     ]);
     t1.row(vec![
         "batched sha1_children".into(),
-        format!("{:.1}", m.sha1_batched_mb_s),
-        format!("{:.2}x", m.sha1_speedup),
+        format!("{sha_batched:.1}"),
+        format!("{sha_speedup:.2}x"),
     ]);
 
     let mut t2 = Table::new(
@@ -230,13 +193,13 @@ pub fn run(quick: bool) -> (Vec<Table>, HostkernMetrics) {
     );
     t2.row(vec![
         "radix-2 sweep".into(),
-        format!("{:.0}", m.fft_radix2_mflops),
+        format!("{fft_r2:.0}"),
         "1.00x".into(),
     ]);
     t2.row(vec![
         "fused radix-4".into(),
-        format!("{:.0}", m.fft_radix4_mflops),
-        format!("{:.2}x", m.fft_speedup),
+        format!("{fft_r4:.0}"),
+        format!("{fft_speedup:.2}x"),
     ]);
 
     let mut t3 = Table::new(
@@ -248,13 +211,13 @@ pub fn run(quick: bool) -> (Vec<Table>, HostkernMetrics) {
     );
     t3.row(vec![
         "staged Vec + decode".into(),
-        format!("{:.1}", m.bulk_staged_melems_s),
+        format!("{bulk_staged:.1}"),
         "1.00x".into(),
     ]);
     t3.row(vec![
         "memget_elems_into".into(),
-        format!("{:.1}", m.bulk_zero_copy_melems_s),
-        format!("{:.2}x", m.bulk_speedup),
+        format!("{bulk_zero:.1}"),
+        format!("{bulk_speedup:.2}x"),
     ]);
 
     (vec![t1, t2, t3], m)
@@ -263,27 +226,6 @@ pub fn run(quick: bool) -> (Vec<Table>, HostkernMetrics) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp::simcore::json_number;
-
-    #[test]
-    fn json_round_trips_through_the_checker() {
-        let m = HostkernMetrics {
-            sha1_scalar_mb_s: 150.5,
-            sha1_batched_mb_s: 410.25,
-            sha1_speedup: 2.73,
-            fft_radix2_mflops: 2_000.0,
-            fft_radix4_mflops: 3_100.0,
-            fft_speedup: 1.55,
-            bulk_staged_melems_s: 90.0,
-            bulk_zero_copy_melems_s: 200.0,
-            bulk_speedup: 2.22,
-        };
-        let j = m.to_json();
-        assert_eq!(json_number(&j, "sha1_batched_mb_s"), Some(410.2));
-        assert_eq!(json_number(&j, "fft_radix4_mflops"), Some(3100.0));
-        assert_eq!(json_number(&j, "bulk_zero_copy_melems_s"), Some(200.0));
-        assert_eq!(json_number(&j, "missing"), None);
-    }
 
     #[test]
     fn quick_probes_agree_on_virtual_time_and_report_positive_rates() {

@@ -22,57 +22,7 @@ use hupc::serve::{
 };
 use hupc::prelude::{time, FaultPlan, UpcConfig};
 
-use crate::Table;
-
-/// Gated + reported metrics, flat for `json_number` extraction.
-#[derive(Clone, Debug, Default)]
-pub struct ServeMetrics {
-    pub threads: f64,
-    /// Knee sweep, lowest offered load first.
-    pub offered_krps: [f64; 4],
-    pub achieved_krps: [f64; 4],
-    pub p50_us: [f64; 4],
-    pub p99_us: [f64; 4],
-    pub p999_us: [f64; 4],
-    /// p99 at the sub-saturation point (gate: ≤ 2x committed baseline).
-    pub sub_saturation_p99_us: f64,
-    /// Best achieved throughput across the sweep (gate: ≥ baseline / 2).
-    pub peak_krps: f64,
-    /// Past-knee point rerun with the admission bound.
-    pub shed_pct_overload: f64,
-    pub shed_p999_us: f64,
-    /// Straggler experiment at sub-saturation.
-    pub fault_free_p50_us: f64,
-    pub fault_free_p999_us: f64,
-    pub straggler_p50_us: f64,
-    pub straggler_p999_us: f64,
-}
-
-impl ServeMetrics {
-    pub fn to_json(&self) -> String {
-        let mut kv: Vec<(String, f64)> = vec![("threads".into(), self.threads)];
-        for i in 0..4 {
-            kv.push((format!("offered_krps_{}", i + 1), self.offered_krps[i]));
-            kv.push((format!("achieved_krps_{}", i + 1), self.achieved_krps[i]));
-            kv.push((format!("p50_us_{}", i + 1), self.p50_us[i]));
-            kv.push((format!("p99_us_{}", i + 1), self.p99_us[i]));
-            kv.push((format!("p999_us_{}", i + 1), self.p999_us[i]));
-        }
-        kv.push(("sub_saturation_p99_us".into(), self.sub_saturation_p99_us));
-        kv.push(("peak_krps".into(), self.peak_krps));
-        kv.push(("shed_pct_overload".into(), self.shed_pct_overload));
-        kv.push(("shed_p999_us".into(), self.shed_p999_us));
-        kv.push(("fault_free_p50_us".into(), self.fault_free_p50_us));
-        kv.push(("fault_free_p999_us".into(), self.fault_free_p999_us));
-        kv.push(("straggler_p50_us".into(), self.straggler_p50_us));
-        kv.push(("straggler_p999_us".into(), self.straggler_p999_us));
-        let body: Vec<String> = kv
-            .iter()
-            .map(|(k, v)| format!("  \"{k}\": {v:.3}"))
-            .collect();
-        format!("{{\n{}\n}}\n", body.join(",\n"))
-    }
-}
+use crate::{Metrics, Table};
 
 const US: f64 = 1_000.0; // ns per µs
 
@@ -105,11 +55,9 @@ fn krps(r: &ServeResult) -> f64 {
     r.throughput_rps() / 1_000.0
 }
 
-pub fn run(quick: bool) -> (Vec<Table>, ServeMetrics) {
-    let mut m = ServeMetrics {
-        threads: 16.0,
-        ..Default::default()
-    };
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
+    let mut m = Metrics::default();
+    m.push("threads", 16.0);
 
     // --- 1. Knee curve -----------------------------------------------------
     // Per-frontend mean inter-arrival gaps, sub-saturation → past the knee.
@@ -126,37 +74,46 @@ pub fn run(quick: bool) -> (Vec<Table>, ServeMetrics) {
         ],
     );
     let mut last_result = None;
+    let mut sub_saturation_p99_us = 0.0;
+    let mut peak_krps = 0.0f64;
     for (i, gap) in gaps.iter().enumerate() {
         let r = run_serve(base_cfg(quick, *gap, 0xBE5E ^ i as u64));
         let offered = 16.0 / hupc::sim::time::as_secs_f64(*gap) / 1_000.0;
-        m.offered_krps[i] = offered;
-        m.achieved_krps[i] = krps(&r);
-        m.p50_us[i] = us(r.hist.p50());
-        m.p99_us[i] = us(r.hist.p99());
-        m.p999_us[i] = us(r.hist.p999());
+        let achieved = krps(&r);
+        let (p50, p99, p999) = (us(r.hist.p50()), us(r.hist.p99()), us(r.hist.p999()));
+        let n = i + 1;
+        m.push(format!("offered_krps_{n}"), offered);
+        m.push(format!("achieved_krps_{n}"), achieved);
+        m.push(format!("p50_us_{n}"), p50);
+        m.push(format!("p99_us_{n}"), p99);
+        m.push(format!("p999_us_{n}"), p999);
+        if i == 0 {
+            sub_saturation_p99_us = p99;
+        }
+        peak_krps = peak_krps.max(achieved);
         knee.row(vec![
             format!("{offered:.0}"),
-            format!("{:.0}", m.achieved_krps[i]),
-            format!("{:.1}", m.p50_us[i]),
-            format!("{:.1}", m.p99_us[i]),
-            format!("{:.1}", m.p999_us[i]),
+            format!("{achieved:.0}"),
+            format!("{p50:.1}"),
+            format!("{p99:.1}"),
+            format!("{p999:.1}"),
             format!("{:.1}", 100.0 * r.shed as f64 / r.generated as f64),
         ]);
         last_result = Some(r);
     }
-    m.sub_saturation_p99_us = m.p99_us[0];
-    m.peak_krps = m
-        .achieved_krps
-        .iter()
-        .cloned()
-        .fold(0.0f64, f64::max);
+    // Gated: p99 at the sub-saturation point and the best achieved
+    // throughput across the sweep.
+    m.push("sub_saturation_p99_us", sub_saturation_p99_us);
+    m.push("peak_krps", peak_krps);
 
     // --- 2. Overload shedding ---------------------------------------------
     let mut shed_cfg = base_cfg(quick, gaps[3], 0xBE5E ^ 3);
     shed_cfg.shed_after = Some(time::us(200));
     let shed_run = run_serve(shed_cfg);
-    m.shed_pct_overload = 100.0 * shed_run.shed as f64 / shed_run.generated as f64;
-    m.shed_p999_us = us(shed_run.hist.p999());
+    let shed_pct = 100.0 * shed_run.shed as f64 / shed_run.generated as f64;
+    let shed_p999 = us(shed_run.hist.p999());
+    m.push("shed_pct_overload", shed_pct);
+    m.push("shed_p999_us", shed_p999);
     let unbounded = last_result.expect("knee sweep ran");
     let mut shed_t = Table::new(
         "serve: past-knee point with / without the admission bound (200µs)",
@@ -169,8 +126,8 @@ pub fn run(quick: bool) -> (Vec<Table>, ServeMetrics) {
     ]);
     shed_t.row(vec![
         "shed_after = 200µs".into(),
-        format!("{:.1}", m.shed_p999_us),
-        format!("{:.1}", m.shed_pct_overload),
+        format!("{shed_p999:.1}"),
+        format!("{shed_pct:.1}"),
     ]);
 
     // --- 3. Straggler tail experiment -------------------------------------
@@ -185,25 +142,30 @@ pub fn run(quick: bool) -> (Vec<Table>, ServeMetrics) {
     let mut strag_cfg = ff_cfg;
     strag_cfg.upc.gasnet.fault = Some(FaultPlan::new(0xAF).straggler(1, 3.0));
     let straggler = run_serve(strag_cfg);
-    m.fault_free_p50_us = us(fault_free.hist.p50());
-    m.fault_free_p999_us = us(fault_free.hist.p999());
-    m.straggler_p50_us = us(straggler.hist.p50());
-    m.straggler_p999_us = us(straggler.hist.p999());
+    let (ff_p50, ff_p999) = (us(fault_free.hist.p50()), us(fault_free.hist.p999()));
+    let (st_p50, st_p999) = (us(straggler.hist.p50()), us(straggler.hist.p999()));
+    m.push("fault_free_p50_us", ff_p50);
+    m.push("fault_free_p999_us", ff_p999);
+    m.push("straggler_p50_us", st_p50);
+    m.push("straggler_p999_us", st_p999);
+    // Gated: the tail-at-scale shape.
+    m.push("straggler_p999_ratio", st_p999 / ff_p999);
+    m.push("straggler_p50_ratio", st_p50 / ff_p50);
     let mut fault_t = Table::new(
         "serve: straggler (node 1 at 3x slowdown) vs fault-free, sub-saturation",
         &["variant", "p50 µs", "p99 µs", "p999 µs"],
     );
     fault_t.row(vec![
         "fault-free".into(),
-        format!("{:.1}", m.fault_free_p50_us),
+        format!("{ff_p50:.1}"),
         format!("{:.1}", us(fault_free.hist.p99())),
-        format!("{:.1}", m.fault_free_p999_us),
+        format!("{ff_p999:.1}"),
     ]);
     fault_t.row(vec![
         "straggler".into(),
-        format!("{:.1}", m.straggler_p50_us),
+        format!("{st_p50:.1}"),
         format!("{:.1}", us(straggler.hist.p99())),
-        format!("{:.1}", m.straggler_p999_us),
+        format!("{st_p999:.1}"),
     ]);
 
     (vec![knee, shed_t, fault_t], m)

@@ -10,78 +10,25 @@
 //! 2. **handoff latency** — two actors ping-ponging through a [`SimQueue`],
 //!    which forces the scheduler onto the critical path of every hop; this
 //!    prices the spin-then-park `Handoff` rendezvous.
-//! 3. **UTS end-to-end** — the thesis Fig 3.3 workload (quick: a small
-//!    tree), fast path on vs off, showing the bypass survives contact with
-//!    a real application's mix of simcalls.
-//! 4. **actor scale** — the coroutine-core headline: a flat spawn storm
+//! 3. **actor scale** — the coroutine-core headline: a flat spawn storm
 //!    that registers a million actors (spawn rate + max live actor count)
 //!    and a million-actor UTS-style dynamic spawn tree, one actor per tree
 //!    node, that must complete on a default CI runner. Both run at the full
 //!    million even under `--quick`; lazy context creation and the
 //!    finished-stack pool are what make that cheap.
 //!
-//! The binary also writes `BENCH_simcore.json` and, with `--check <path>`,
-//! fails when simcall throughput or handoff latency regressed more than 2x
-//! against a previously committed baseline.
+//! The fast path's end-to-end effect on a real application is measured by
+//! the benchmark ledger (`ledger/`), whose uts-groups run lasts ≥0.7 s of
+//! host time. The metrics go to `BENCH_simcore.json`; `--check` gates
+//! simcall throughput and handoff latency against the committed baseline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hupc::net::Conduit;
-use hupc::sim::{set_fast_path_default, time, ActorBackend, SimQueue, Simulation};
-use hupc::uts::{run_uts, StealStrategy, UtsConfig};
+use hupc::sim::{time, ActorBackend, SimQueue, Simulation};
 
-use crate::Table;
-
-/// The numbers `BENCH_simcore.json` records.
-#[derive(Clone, Copy, Debug)]
-pub struct SimcoreMetrics {
-    pub simcalls_per_sec_fast: f64,
-    pub simcalls_per_sec_slow: f64,
-    pub simcall_speedup: f64,
-    pub handoff_ns: f64,
-    pub uts_host_s_fast: f64,
-    pub uts_host_s_slow: f64,
-    pub uts_speedup: f64,
-    pub spawn_rate_per_s: f64,
-    pub max_actors: f64,
-    pub tree_actors: f64,
-    pub tree_host_s: f64,
-    /// `std::thread::available_parallelism()` on the measuring host, so a
-    /// committed baseline records what its host times were measured on.
-    pub host_cpus: f64,
-}
-
-impl SimcoreMetrics {
-    /// Flat JSON object, one numeric field per metric.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"simcalls_per_sec_fast\": {:.0},\n  \"simcalls_per_sec_slow\": {:.0},\n  \
-             \"simcall_speedup\": {:.2},\n  \"handoff_ns\": {:.0},\n  \
-             \"uts_host_s_fast\": {:.3},\n  \"uts_host_s_slow\": {:.3},\n  \
-             \"uts_speedup\": {:.2},\n  \"spawn_rate_per_s\": {:.0},\n  \
-             \"max_actors\": {:.0},\n  \"tree_actors\": {:.0},\n  \
-             \"tree_host_s\": {:.3},\n  \"host_cpus\": {:.0}\n}}\n",
-            self.simcalls_per_sec_fast,
-            self.simcalls_per_sec_slow,
-            self.simcall_speedup,
-            self.handoff_ns,
-            self.uts_host_s_fast,
-            self.uts_host_s_slow,
-            self.uts_speedup,
-            self.spawn_rate_per_s,
-            self.max_actors,
-            self.tree_actors,
-            self.tree_host_s,
-            self.host_cpus,
-        )
-    }
-}
-
-/// Moved to the shared report module; re-exported so existing callers keep
-/// working.
-pub use crate::report::json_number;
+use crate::{Metrics, Table};
 
 /// One actor, `n` plain advances: the pure simcall path.
 fn advance_storm(n: u64, fast: bool) -> (f64, u64) {
@@ -123,22 +70,6 @@ fn pingpong(rounds: u64) -> f64 {
     let t0 = Instant::now();
     sim.run();
     t0.elapsed().as_secs_f64() * 1e9 / (2.0 * rounds as f64)
-}
-
-/// UTS wall clock on the host, fast path on or off. Uses the process-global
-/// default because `run_uts` builds its own `Simulation`.
-fn uts_host_seconds(quick: bool, fast: bool) -> (f64, f64) {
-    set_fast_path_default(fast);
-    let cfg = if quick {
-        UtsConfig::small(8, 2, StealStrategy::LocalFirstRapid, 18)
-    } else {
-        UtsConfig::thesis(16, Conduit::gige(), StealStrategy::LocalFirstRapid)
-    };
-    let t0 = Instant::now();
-    let r = run_uts(cfg);
-    let host = t0.elapsed().as_secs_f64();
-    set_fast_path_default(true);
-    (host, r.seconds)
 }
 
 /// Flat spawn storm: register `n` trivial actors up front, then run them
@@ -204,7 +135,7 @@ fn actor_tree(total: u64) -> f64 {
     host
 }
 
-pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let n: u64 = if quick { 200_000 } else { 2_000_000 };
     let rounds: u64 = if quick { 20_000 } else { 200_000 };
 
@@ -216,12 +147,6 @@ pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
     let (slow_tput, _) = advance_storm(n, false);
     assert_eq!(hits, n, "every storm advance should take the bypass");
     let hop_ns = pingpong(rounds);
-    let (uts_fast, vt_fast) = uts_host_seconds(quick, true);
-    let (uts_slow, vt_slow) = uts_host_seconds(quick, false);
-    assert!(
-        (vt_fast - vt_slow).abs() < 1e-12,
-        "fast path changed UTS virtual time: {vt_fast} vs {vt_slow}"
-    );
     // The scale probes run at the full million even under --quick: the CI
     // perf-smoke job is exactly where "a 1M-actor simulation completes on a
     // default runner" gets proven.
@@ -233,20 +158,17 @@ pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    let m = SimcoreMetrics {
-        simcalls_per_sec_fast: fast_tput,
-        simcalls_per_sec_slow: slow_tput,
-        simcall_speedup: fast_tput / slow_tput,
-        handoff_ns: hop_ns,
-        uts_host_s_fast: uts_fast,
-        uts_host_s_slow: uts_slow,
-        uts_speedup: uts_slow / uts_fast,
-        spawn_rate_per_s: spawn_rate,
-        max_actors: scale_n as f64,
-        tree_actors: scale_n as f64,
-        tree_host_s: tree_s,
-        host_cpus: host_cpus as f64,
-    };
+    let mut m = Metrics::default();
+    m.push("simcalls_per_sec_fast", fast_tput);
+    m.push("simcalls_per_sec_slow", slow_tput);
+    m.push("simcall_speedup", fast_tput / slow_tput);
+    m.push("handoff_ns", hop_ns);
+    m.push("spawn_rate_per_s", spawn_rate);
+    m.push("max_actors", scale_n as f64);
+    m.push("tree_actors", scale_n as f64);
+    m.push("tree_host_s", tree_s);
+    // What the host times were measured on, so a committed baseline says.
+    m.push("host_cpus", host_cpus as f64);
 
     let mut t1 = Table::new(
         format!("Engine microbench — simcall throughput ({n} advances, one actor)"),
@@ -254,90 +176,37 @@ pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
     );
     t1.row(vec![
         "scheduler round trip".into(),
-        format!("{:.0}", m.simcalls_per_sec_slow),
+        format!("{slow_tput:.0}"),
         "1.00x".into(),
     ]);
     t1.row(vec![
         "bypass fast path".into(),
-        format!("{:.0}", m.simcalls_per_sec_fast),
-        format!("{:.2}x", m.simcall_speedup),
+        format!("{fast_tput:.0}"),
+        format!("{:.2}x", fast_tput / slow_tput),
     ]);
 
     let mut t2 = Table::new(
         format!("Engine microbench — scheduler handoff ({rounds} ping-pong rounds)"),
         &["metric", "value"],
     );
-    t2.row(vec!["host ns / hop".into(), format!("{:.0}", m.handoff_ns)]);
+    t2.row(vec!["host ns / hop".into(), format!("{hop_ns:.0}")]);
 
     let mut t3 = Table::new(
-        if quick {
-            "UTS host wall-clock — small tree, 8 threads, 2 nodes".to_string()
-        } else {
-            "UTS host wall-clock — thesis Fig 3.3 scale (4M nodes, 16 threads, GigE)"
-                .to_string()
-        },
-        &["mode", "host s", "speedup"],
-    );
-    t3.row(vec![
-        "fast path off".into(),
-        format!("{:.3}", m.uts_host_s_slow),
-        "1.00x".into(),
-    ]);
-    t3.row(vec![
-        "fast path on".into(),
-        format!("{:.3}", m.uts_host_s_fast),
-        format!("{:.2}x", m.uts_speedup),
-    ]);
-
-    let mut t4 = Table::new(
         format!("Actor scale — coroutine core, {scale_n} actors"),
         &["metric", "value"],
     );
-    t4.row(vec![
+    t3.row(vec![
         "spawn rate (actors/s)".into(),
-        format!("{:.0}", m.spawn_rate_per_s),
+        format!("{spawn_rate:.0}"),
     ]);
-    t4.row(vec![
+    t3.row(vec![
         "max live actors (flat storm)".into(),
-        format!("{:.0}", m.max_actors),
+        format!("{scale_n}"),
     ]);
-    t4.row(vec![
+    t3.row(vec![
         "dynamic tree run (host s)".into(),
-        format!("{:.3}", m.tree_host_s),
+        format!("{tree_s:.3}"),
     ]);
 
-    (vec![t1, t2, t3, t4], m)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_number_reads_back_what_to_json_writes() {
-        let m = SimcoreMetrics {
-            simcalls_per_sec_fast: 1_234_567.0,
-            simcalls_per_sec_slow: 98_765.0,
-            simcall_speedup: 12.5,
-            handoff_ns: 840.0,
-            uts_host_s_fast: 1.25,
-            uts_host_s_slow: 3.5,
-            uts_speedup: 2.8,
-            spawn_rate_per_s: 2_500_000.0,
-            max_actors: 1_000_000.0,
-            tree_actors: 1_000_000.0,
-            tree_host_s: 1.75,
-            host_cpus: 8.0,
-        };
-        let j = m.to_json();
-        assert_eq!(json_number(&j, "simcalls_per_sec_fast"), Some(1_234_567.0));
-        assert_eq!(json_number(&j, "simcall_speedup"), Some(12.5));
-        assert_eq!(json_number(&j, "uts_speedup"), Some(2.8));
-        assert_eq!(json_number(&j, "handoff_ns"), Some(840.0));
-        assert_eq!(json_number(&j, "spawn_rate_per_s"), Some(2_500_000.0));
-        assert_eq!(json_number(&j, "max_actors"), Some(1_000_000.0));
-        assert_eq!(json_number(&j, "tree_host_s"), Some(1.75));
-        assert_eq!(json_number(&j, "host_cpus"), Some(8.0));
-        assert_eq!(json_number(&j, "missing"), None);
-    }
+    (vec![t1, t2, t3], m)
 }

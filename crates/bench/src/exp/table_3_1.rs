@@ -3,12 +3,12 @@
 
 use hupc::stream::{run_twisted_triad, TriadVariant, TwistedConfig};
 
-use crate::Table;
+use crate::{Metrics, Table};
 
 /// Thesis values (GB/s), same row order as [`TriadVariant::all`].
 pub const PAPER: [f64; 4] = [3.2, 7.2, 23.2, 23.4];
 
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let mut t = Table::new(
         "Table 3.1 — Twisted STREAM Triad, 8 threads, 2×Nehalem, bound",
         &["variant", "measured GB/s", "thesis GB/s", "max |err|"],
@@ -27,5 +27,5 @@ pub fn run(quick: bool) -> Vec<Table> {
             format!("{:.1e}", r.max_error),
         ]);
     }
-    vec![t]
+    (vec![t], Metrics::default())
 }

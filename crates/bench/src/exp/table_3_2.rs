@@ -4,7 +4,7 @@
 use hupc::net::Conduit;
 use hupc::uts::{run_uts, StealStrategy, UtsConfig};
 
-use crate::Table;
+use crate::{Metrics, Table};
 
 /// Thesis values per row `(threads, overall %, base local %, opt local %)`.
 pub const PAPER_IB: [(usize, f64, f64, f64); 3] = [
@@ -18,7 +18,7 @@ pub const PAPER_ETH: [(usize, f64, f64, f64); 3] = [
     (128, 99.5, 58.1, 89.7),
 ];
 
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let mut t = Table::new(
         "Table 3.2 — UTS profiling, 16 Pyramid nodes (optimized = local-stealing + rapid-diffusion)",
         &[
@@ -61,5 +61,5 @@ pub fn run(quick: bool) -> Vec<Table> {
             ]);
         }
     }
-    vec![t]
+    (vec![t], Metrics::default())
 }

@@ -2,7 +2,7 @@
 
 use hupc::stream::{run_hybrid_triad, HybridConfig, HybridLayout};
 
-use crate::Table;
+use crate::{Metrics, Table};
 
 /// The thesis rows: (layout, published GB/s).
 pub fn layouts() -> Vec<(HybridLayout, f64)> {
@@ -36,7 +36,7 @@ pub fn layouts() -> Vec<(HybridLayout, f64)> {
     ]
 }
 
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let mut t = Table::new(
         "Table 4.1 — STREAM Triad placement study, 1 Lehman node",
         &["configuration", "measured GB/s", "thesis GB/s", "max |err|"],
@@ -55,5 +55,5 @@ pub fn run(quick: bool) -> Vec<Table> {
             format!("{:.1e}", r.max_error),
         ]);
     }
-    vec![t]
+    (vec![t], Metrics::default())
 }

@@ -18,7 +18,7 @@ use hupc::gups::{run_gups, GupsConfig, Routing};
 use hupc::trace::{to_chrome_trace, to_jsonl, Loc, TraceLevel, Tracer};
 use hupc::uts::{run_uts, StealStrategy, UtsConfig};
 
-use crate::Table;
+use crate::{Metrics, Table};
 
 /// Capture one workload under a fresh full-level tracer; returns
 /// (events recorded, events dropped, jsonl lines) after writing artifacts.
@@ -42,7 +42,7 @@ fn capture(app: &str, work: impl FnOnce()) -> (u64, u64, usize, Arc<Tracer>) {
     (t.events_recorded(), t.events_dropped(), lines, t)
 }
 
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool) -> (Vec<Table>, Metrics) {
     let uts_threads = if quick { 8 } else { 16 };
     let mut volume = Table::new(
         "Trace capture — event volume per app (full level, unbounded rings)",
@@ -163,5 +163,5 @@ pub fn run(quick: bool) -> Vec<Table> {
     eprintln!(
         "[trace artifacts written: trace_{{uts,ft,gups}}.{{jsonl,chrome.json,metrics.json}}]"
     );
-    vec![volume, locality]
+    (vec![volume, locality], Metrics::default())
 }

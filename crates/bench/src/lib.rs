@@ -1,19 +1,22 @@
-//! `hupc-bench` — the experiment harness: one module (and one binary) per
-//! table / figure of the thesis' evaluation chapters.
+//! `hupc-bench` — the experiment harness: one module per table / figure of
+//! the thesis' evaluation chapters, plus the perf-smoke probes, all run
+//! through one binary:
 //!
-//! Every binary prints the regenerated rows/series next to the thesis'
-//! published values and accepts:
+//! ```text
+//! hupc-bench <experiment> [--quick] [--csv <path>] [--check <baseline.json>]
+//! ```
 //!
-//! * `--csv <path>` — also dump machine-readable series;
 //! * `--quick` — a reduced sweep (fewer configurations / iterations) for
-//!   smoke runs.
+//!   smoke runs;
+//! * `--csv <path>` — also append machine-readable series;
+//! * `--check <baseline.json>` — gate the run's metrics against a committed
+//!   `BENCH_<x>.json` with the experiment's rows in [`exp::EXPERIMENTS`].
 //!
-//! `all_experiments` runs the full set.
+//! Every experiment prints the regenerated rows/series next to the thesis'
+//! published values. `all_experiments` runs the thesis suite, then the
+//! workload-registry sweep; `apps` runs the sweep alone at quick size.
 
 pub mod exp;
 pub mod report;
 
-pub use report::{
-    baseline_metrics, check_gates, enforce_gates, json_number, parse_args, write_metrics, Args,
-    Gate, Table,
-};
+pub use report::{Args, Metrics, Table};

@@ -1,53 +1,16 @@
-//! Table rendering, CSV output and the shared `--check` regression-gate
-//! machinery for the experiment binaries.
+//! Table rendering, CSV output, the metrics writer and the `--check`
+//! regression-gate machinery shared by every experiment.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Command-line options shared by every experiment binary.
+/// Command-line options of `hupc-bench <experiment>`.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     pub csv: Option<PathBuf>,
     pub quick: bool,
-    /// Baseline JSON to compare against (the perf-smoke binaries).
+    /// Baseline JSON to gate against (experiments with gate rows).
     pub check: Option<PathBuf>,
-    /// `all_experiments` only: run just the workload-registry sweep.
-    pub smoke: bool,
-}
-
-/// Parse `--csv <path>`, `--quick`, `--smoke` and `--check <path>` from
-/// `std::env::args`.
-pub fn parse_args() -> Args {
-    let mut out = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--csv" => {
-                out.csv = Some(PathBuf::from(
-                    it.next().expect("--csv requires a path argument"),
-                ));
-            }
-            "--check" => {
-                out.check = Some(PathBuf::from(
-                    it.next().expect("--check requires a path argument"),
-                ));
-            }
-            "--quick" => out.quick = true,
-            "--smoke" => out.smoke = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: <experiment> [--quick] [--smoke] [--csv <path>] \
-                     [--check <baseline.json>]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    out
 }
 
 /// Pull one numeric field out of a flat JSON object (the shape every
@@ -63,17 +26,39 @@ pub fn json_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Read a committed baseline file and extract `keys`, panicking with the
-/// offending path/key on any miss — the shared head of every perf-smoke
-/// binary's `--check` path.
-pub fn baseline_metrics(path: &Path, keys: &[&str]) -> Vec<f64> {
-    let s = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-    keys.iter()
-        .map(|key| {
-            json_number(&s, key).unwrap_or_else(|| panic!("no {key} in {}", path.display()))
-        })
-        .collect()
+/// An experiment's metrics: ordered `(key, value)` pairs, written as one
+/// flat JSON object, plus the workload sweep's per-run reports as a
+/// trailing `runs` array.
+#[derive(Clone, Debug, Default)]
+pub struct Metrics {
+    pub values: Vec<(String, f64)>,
+    /// Raw JSON objects, one per sweep cell (`RunReport::to_json`).
+    pub runs: Vec<String>,
+}
+
+impl Metrics {
+    pub fn push(&mut self, key: impl Into<String>, value: f64) {
+        self.values.push((key.into(), value));
+    }
+
+    pub fn get(&self, key: &str) -> Option<f64> {
+        self.values.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+    }
+
+    /// The `BENCH_<x>.json` text. Values print in their shortest
+    /// round-trip form, so [`json_number`] reads back exactly what was
+    /// measured.
+    pub fn to_json(&self) -> String {
+        let mut fields: Vec<String> = self
+            .values
+            .iter()
+            .map(|(k, v)| format!("  \"{k}\": {v}"))
+            .collect();
+        if !self.runs.is_empty() {
+            fields.push(format!("  \"runs\": [{}]", self.runs.join(",")));
+        }
+        format!("{{\n{}\n}}\n", fields.join(",\n"))
+    }
 }
 
 /// Where a run writes its fresh metrics JSON, `default` being its
@@ -102,6 +87,113 @@ pub fn write_metrics(args: &Args, default: &str, json: &str) {
     }
 }
 
+/// How a gate's bound follows the committed baseline value `b` at one run
+/// size: `max(scale · b, floor)`. With `scale == 0` the bound is the fixed
+/// `floor` and the gate reads no baseline value.
+#[derive(Clone, Copy, Debug)]
+pub struct Bound {
+    pub scale: f64,
+    pub floor: f64,
+}
+
+impl Bound {
+    /// `scale · b`.
+    pub const fn scaled(scale: f64) -> Bound {
+        Bound { scale, floor: 0.0 }
+    }
+
+    /// `floor`, whatever the baseline.
+    pub const fn fixed(floor: f64) -> Bound {
+        Bound { scale: 0.0, floor }
+    }
+
+    /// This bound, raised to at least `floor`.
+    pub const fn with_floor(self, floor: f64) -> Bound {
+        Bound { floor, ..self }
+    }
+
+    pub fn of(self, baseline: f64) -> f64 {
+        (self.scale * baseline).max(self.floor)
+    }
+}
+
+/// One row of an experiment's gate table: metric `key` must stay at least
+/// (or at most) its bound, which may differ between full and `--quick`
+/// runs.
+#[derive(Clone, Copy, Debug)]
+pub struct GateRow {
+    pub key: &'static str,
+    pub at_least: bool,
+    pub full: Bound,
+    pub quick: Bound,
+}
+
+impl GateRow {
+    /// Gate demanding `value >= bound` (throughputs, speedups).
+    pub const fn at_least(key: &'static str, full: Bound, quick: Bound) -> GateRow {
+        GateRow {
+            key,
+            at_least: true,
+            full,
+            quick,
+        }
+    }
+
+    /// Gate demanding `value <= bound` (latencies, times, failures).
+    pub const fn at_most(key: &'static str, full: Bound, quick: Bound) -> GateRow {
+        GateRow {
+            key,
+            at_least: false,
+            full,
+            quick,
+        }
+    }
+
+    /// Whether the bound reads the baseline at either run size.
+    pub fn scales(&self) -> bool {
+        self.full.scale != 0.0 || self.quick.scale != 0.0
+    }
+
+    pub fn bound(&self, baseline: f64, quick: bool) -> f64 {
+        if quick { self.quick } else { self.full }.of(baseline)
+    }
+}
+
+/// Read a committed baseline file and pick out each row's baseline value
+/// (0 for a fixed row), panicking with the offending path/key on any miss.
+pub fn baseline_values(path: &Path, rows: &[GateRow]) -> Vec<f64> {
+    let s = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
+    rows.iter()
+        .map(|row| {
+            if !row.scales() {
+                return 0.0;
+            }
+            json_number(&s, row.key)
+                .unwrap_or_else(|| panic!("no {} in {}", row.key, path.display()))
+        })
+        .collect()
+}
+
+/// Evaluate `rows` on a run's metrics against `baseline` (as read by
+/// [`baseline_values`]).
+pub fn gates(rows: &[GateRow], m: &Metrics, baseline: &[f64], quick: bool) -> Vec<Gate> {
+    rows.iter()
+        .zip(baseline)
+        .map(|(row, &base)| {
+            let value = m
+                .get(row.key)
+                .unwrap_or_else(|| panic!("the run emitted no {} metric", row.key));
+            Gate {
+                name: row.key.to_string(),
+                value,
+                bound: row.bound(base, quick),
+                at_least: row.at_least,
+            }
+        })
+        .collect()
+}
+
 /// One perf-smoke regression gate: a measured value against a bound.
 #[derive(Clone, Debug)]
 pub struct Gate {
@@ -110,46 +202,10 @@ pub struct Gate {
     pub bound: f64,
     /// `true` when the gate wants `value >= bound`, `false` for `<=`.
     pub at_least: bool,
-    /// `None` = enforced; `Some(why)` = reported but not enforced.
-    pub waived: Option<String>,
 }
 
 impl Gate {
-    /// Gate demanding `value >= bound` (throughputs, speedups).
-    pub fn at_least(name: impl Into<String>, value: f64, bound: f64) -> Gate {
-        Gate {
-            name: name.into(),
-            value,
-            bound,
-            at_least: true,
-            waived: None,
-        }
-    }
-
-    /// Gate demanding `value <= bound` (latencies, times).
-    pub fn at_most(name: impl Into<String>, value: f64, bound: f64) -> Gate {
-        Gate {
-            name: name.into(),
-            value,
-            bound,
-            at_least: false,
-            waived: None,
-        }
-    }
-
-    /// Report this gate without enforcing it when `cond` holds (e.g. the
-    /// host cannot physically pass it).
-    pub fn waive_if(mut self, cond: bool, why: impl Into<String>) -> Gate {
-        if cond {
-            self.waived = Some(why.into());
-        }
-        self
-    }
-
     pub fn ok(&self) -> bool {
-        if self.waived.is_some() {
-            return true;
-        }
         if self.at_least {
             self.value >= self.bound
         } else {
@@ -158,32 +214,22 @@ impl Gate {
     }
 
     pub fn json(&self) -> String {
-        let verdict = if self.waived.is_some() {
-            "waived"
-        } else if self.ok() {
-            "ok"
-        } else {
-            "fail"
-        };
-        let waived = match &self.waived {
-            Some(why) => format!(",\"waived\":\"{why}\""),
-            None => String::new(),
-        };
         // `{:?}` prints the shortest round-trip form, so nanosecond-scale
         // virtual times and million-scale throughputs both stay readable.
         format!(
-            "{{\"gate\":\"{}\",\"value\":{:?},\"{}\":{:?},\"verdict\":\"{verdict}\"{waived}}}",
+            "{{\"gate\":\"{}\",\"value\":{:?},\"{}\":{:?},\"verdict\":\"{}\"}}",
             self.name,
             self.value,
             if self.at_least { "min" } else { "max" },
             self.bound,
+            if self.ok() { "ok" } else { "fail" },
         )
     }
 }
 
 /// Evaluate every gate and report all of them as one machine-readable line
 /// — pass or fail, CI logs capture the whole picture in one grep. Returns
-/// `false` (after printing `PERF REGRESSION`) when any enforced gate trips;
+/// `false` (after printing `PERF REGRESSION`) when any gate trips;
 /// `context` key/value pairs are embedded in the regression JSON.
 pub fn check_gates(context: &[(&str, f64)], gates: &[Gate]) -> bool {
     let joined = |sep: &str| gates.iter().map(Gate::json).collect::<Vec<_>>().join(sep);
@@ -200,8 +246,7 @@ pub fn check_gates(context: &[(&str, f64)], gates: &[Gate]) -> bool {
     }
 }
 
-/// [`check_gates`], exiting 1 on regression — the tail of every perf-smoke
-/// binary.
+/// [`check_gates`], exiting 1 on regression.
 pub fn enforce_gates(context: &[(&str, f64)], gates: &[Gate]) {
     if !check_gates(context, gates) {
         std::process::exit(1);
@@ -343,25 +388,82 @@ mod tests {
     }
 
     #[test]
+    fn metrics_writer_round_trips_through_json_number() {
+        let mut m = Metrics::default();
+        for (k, v) in [
+            ("tput", 16_688_761.234_567_8),
+            ("lat_ns", 291.0),
+            ("virt_s", 1.7653e-5),
+            ("ratio", 2.0 / 3.0),
+            ("zero", 0.0),
+            ("huge", 1.5e21),
+        ] {
+            m.push(k, v);
+        }
+        m.runs = vec![r#"{"workload":"a","end_seconds":0.5}"#.into()];
+        let j = m.to_json();
+        for (k, v) in &m.values {
+            assert_eq!(json_number(&j, k), Some(*v), "{k} in {j}");
+            assert_eq!(m.get(k), Some(*v));
+        }
+        assert!(
+            j.contains(r#""runs": [{"workload":"a","end_seconds":0.5}]"#),
+            "{j}"
+        );
+        assert_eq!(json_number(&j, "missing"), None);
+        assert_eq!(m.get("missing"), None);
+        // No runs, no `runs` array.
+        assert!(!Metrics::default().to_json().contains("runs"));
+    }
+
+    fn gate(at_least: bool, value: f64, bound: f64) -> Gate {
+        Gate {
+            name: "g".into(),
+            value,
+            bound,
+            at_least,
+        }
+    }
+
+    #[test]
     fn gates_evaluate_and_waive() {
-        assert!(Gate::at_least("tput", 10.0, 5.0).ok());
-        assert!(!Gate::at_least("tput", 4.0, 5.0).ok());
-        assert!(Gate::at_most("lat", 4.0, 5.0).ok());
-        assert!(!Gate::at_most("lat", 6.0, 5.0).ok());
-        let waived = Gate::at_least("speedup", 1.0, 1.8).waive_if(true, "1-core host");
-        assert!(waived.ok());
-        assert!(waived.json().contains("\"verdict\":\"waived\""));
-        assert!(!Gate::at_least("speedup", 1.0, 1.8)
-            .waive_if(false, "n/a")
-            .ok());
+        assert!(gate(true, 10.0, 5.0).ok());
+        assert!(!gate(true, 4.0, 5.0).ok());
+        assert!(gate(false, 4.0, 5.0).ok());
+        assert!(!gate(false, 6.0, 5.0).ok());
+        // Nothing is waived: a tripped gate reports "fail".
+        assert!(gate(true, 1.0, 1.8)
+            .json()
+            .ends_with(r#""min":1.8,"verdict":"fail"}"#));
+        assert!(gate(false, 0.0, 0.0)
+            .json()
+            .ends_with(r#""max":0.0,"verdict":"ok"}"#));
+    }
+
+    #[test]
+    fn gate_rows_bound_by_run_size() {
+        let row = GateRow::at_least("k", Bound::scaled(0.5).with_floor(2.0), Bound::fixed(2.0));
+        assert!(row.scales());
+        assert_eq!(row.bound(10.0, false), 5.0);
+        assert_eq!(row.bound(3.0, false), 2.0);
+        assert_eq!(row.bound(10.0, true), 2.0);
+        let fixed = GateRow::at_most("f", Bound::fixed(1.5), Bound::fixed(1.5));
+        assert!(!fixed.scales());
+        let m = Metrics {
+            values: vec![("k".into(), 4.0), ("f".into(), 1.0)],
+            runs: vec![],
+        };
+        let g = gates(&[row, fixed], &m, &[10.0, 0.0], false);
+        assert_eq!((g[0].bound, g[0].ok()), (5.0, false));
+        assert_eq!((g[1].bound, g[1].ok()), (1.5, true));
     }
 
     #[test]
     fn check_gates_reports_all() {
-        assert!(check_gates(&[], &[Gate::at_least("a", 2.0, 1.0)]));
+        assert!(check_gates(&[], &[gate(true, 2.0, 1.0)]));
         assert!(!check_gates(
             &[("host_cpus", 8.0)],
-            &[Gate::at_least("a", 2.0, 1.0), Gate::at_most("b", 9.0, 5.0)]
+            &[gate(true, 2.0, 1.0), gate(false, 9.0, 5.0)]
         ));
     }
 }

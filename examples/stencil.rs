@@ -7,8 +7,7 @@
 //!
 //! The 2-D version of this pattern is a registered workload
 //! (`stencil2d` in `crates/app/src/stencil2d.rs`) — run it through the
-//! SDK sweep: `cargo run --release -p hupc-bench --bin all_experiments
-//! -- --smoke`.
+//! SDK sweep: `cargo run --release -p hupc-bench -- apps`.
 
 use std::sync::Arc;
 
