@@ -120,6 +120,8 @@ pub struct Handle {
 pub struct Gasnet {
     machine: Machine,
     placement: Placement,
+    /// Node of each UPC thread, precomputed from the placement.
+    thread_nodes: Vec<NodeId>,
     backend: Backend,
     conduit_kind: &'static str,
     fabric: Fabric,
@@ -180,9 +182,11 @@ impl Gasnet {
         let per_node = placement.threads_per_node();
         let mut proc_conns: std::collections::HashMap<(usize, usize), Connection> =
             std::collections::HashMap::new();
+        let thread_nodes: Vec<NodeId> = (0..cfg.n_threads)
+            .map(|t| placement.thread_node(&machine, t))
+            .collect();
         let mut conns = Vec::with_capacity(cfg.n_threads);
-        for t in 0..cfg.n_threads {
-            let node = placement.thread_node(&machine, t);
+        for (t, &node) in thread_nodes.iter().enumerate() {
             let local = t % per_node;
             let proc = cfg.backend.proc_of(local);
             let conn = *proc_conns.entry((node.0, proc)).or_insert_with(|| {
@@ -207,6 +211,7 @@ impl Gasnet {
         Arc::new(Gasnet {
             machine,
             placement,
+            thread_nodes,
             backend: cfg.backend,
             conduit_kind: kind,
             fabric,
@@ -280,7 +285,7 @@ impl Gasnet {
 
     /// Node of a UPC thread.
     pub fn thread_node(&self, t: usize) -> NodeId {
-        self.placement.thread_node(&self.machine, t)
+        self.thread_nodes[t]
     }
 
     /// Bound PU of a UPC thread.
@@ -433,7 +438,9 @@ impl Gasnet {
                 Delivery::Delivered { local, remote } => return Ok((local, remote)),
                 Delivery::Dropped { local } => {
                     ctx.trace_emit(hupc_trace::EventKind::Retry, attempt as u64, bytes as u64);
-                    ctx.trace_count("gasnet.retries", self.tloc(me), 1);
+                    if ctx.tracer().is_some() {
+                        ctx.trace_count("gasnet.retries", self.tloc(me), 1);
+                    }
                     self.await_retry(ctx, local, attempt)
                 }
             }
@@ -461,7 +468,9 @@ impl Gasnet {
                 Delivery::Delivered { local, remote } => return Ok((local, remote)),
                 Delivery::Dropped { local } => {
                     ctx.trace_emit(hupc_trace::EventKind::Retry, attempt as u64, bytes as u64);
-                    ctx.trace_count("gasnet.retries", self.tloc(me), 1);
+                    if ctx.tracer().is_some() {
+                        ctx.trace_count("gasnet.retries", self.tloc(me), 1);
+                    }
                     self.await_retry(ctx, local, attempt)
                 }
             }
@@ -768,8 +777,11 @@ impl Gasnet {
     ) -> Result<Handle, CommError> {
         let path = self.path(me, dst);
         ctx.trace_emit(hupc_trace::EventKind::PutIssue, dst as u64, bytes as u64);
-        ctx.trace_count("gasnet.puts", self.tloc(me), 1);
-        ctx.trace_count("gasnet.put_bytes", self.tloc(me), bytes as u64);
+        if ctx.tracer().is_some() {
+            let loc = self.tloc(me);
+            ctx.trace_count("gasnet.puts", loc, 1);
+            ctx.trace_count("gasnet.put_bytes", loc, bytes as u64);
+        }
         let h = match path {
             AccessPath::Network => {
                 let (local_t, remote_t) = self.net_send(ctx, op, me, dst, bytes)?;
@@ -794,8 +806,11 @@ impl Gasnet {
     ) -> Result<Handle, CommError> {
         let path = self.path(me, src);
         ctx.trace_emit(hupc_trace::EventKind::GetIssue, src as u64, bytes as u64);
-        ctx.trace_count("gasnet.gets", self.tloc(me), 1);
-        ctx.trace_count("gasnet.get_bytes", self.tloc(me), bytes as u64);
+        if ctx.tracer().is_some() {
+            let loc = self.tloc(me);
+            ctx.trace_count("gasnet.gets", loc, 1);
+            ctx.trace_count("gasnet.get_bytes", loc, bytes as u64);
+        }
         let h = match path {
             AccessPath::Network => {
                 // Request + RDMA read response.
@@ -914,7 +929,9 @@ impl Gasnet {
     pub fn try_barrier(&self, ctx: &Ctx, me: usize) -> Result<(), CommError> {
         self.quiesce(ctx, me);
         ctx.trace_emit(hupc_trace::EventKind::BarrierEnter, self.barrier_cost(), 0);
-        ctx.trace_count("gasnet.barriers", self.tloc(me), 1);
+        if ctx.tracer().is_some() {
+            ctx.trace_count("gasnet.barriers", self.tloc(me), 1);
+        }
         let r = match self.barrier_timeout {
             None => {
                 ctx.barrier_wait_cost(self.barrier_all, self.barrier_cost());

@@ -45,7 +45,9 @@ impl Segment {
         });
     }
 
-    /// Read a single word.
+    /// Read a single word. Each call is one borrow of the segment's
+    /// `SimCell`; a scan over several words should take one
+    /// [`Segment::with_range`] borrow instead.
     pub fn read_word(&self, off: usize) -> u64 {
         self.data.with(|d| d[off])
     }

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use hupc_coll::CollDomain;
 use hupc_gasnet::GasnetConfig;
 use hupc_sim::{time, Kernel, SimCell, SimError, Time};
-use hupc_trace::{Hist, Loc, MetricsRegistry};
+use hupc_trace::Hist;
 use hupc_upc::{Upc, UpcConfig, UpcJob};
 
 use crate::shard::ShardMap;
@@ -198,6 +198,20 @@ struct ThreadState {
     pending: Option<Pending>,
     put_seq: u64,
     retries_total: u64,
+    /// Latency of every completed request (ns).
+    hist: Hist,
+    /// Latency of the completed requests tagged as fault-affected.
+    hist_faulted: Hist,
+}
+
+impl ThreadState {
+    /// Record a completed request's latency.
+    fn observe(&mut self, lat: Time, faulted: bool) {
+        self.hist.observe(lat);
+        if faulted {
+            self.hist_faulted.observe(lat);
+        }
+    }
 }
 
 fn fault_perturbations(upc: &Upc<'_>) -> u64 {
@@ -241,44 +255,57 @@ fn get_retry(upc: &Upc<'_>, src: usize, off: usize, out: &mut [u64], retries: &m
 
 /// Serve everything currently in the inbox: apply updates to the local
 /// store, append to the committed log, ack each source.
-fn drain_inbox(upc: &Upc<'_>, shard: &ShardMap, lay: Layout, st: &mut ThreadState, cfg: &ServeConfig) {
+///
+/// Sources are visited in thread order, and each source's seq word is
+/// read only when the visit reaches it. The scan for the next new message
+/// is one segment borrow. After each message it restarts at the next
+/// source: applying and acking yield, and a later source may deposit
+/// during the yield, so that message is still served in this pass.
+fn drain_inbox(
+    upc: &Upc<'_>,
+    shard: &ShardMap,
+    lay: Layout,
+    st: &mut ThreadState,
+    cfg: &ServeConfig,
+) {
     let me = upc.mythread();
     let n = upc.threads();
-    for src in 0..n {
-        let slot = lay.inbox_off + src * lay.slot_words;
-        let seg = upc.gasnet().segment(me);
-        let seq = seg.read_word(slot);
+    let seg = upc.gasnet().segment(me);
+    let mut from = 0;
+    while let Some((src, seq, pairs)) = seg.with_range(lay.inbox_off, n * lay.slot_words, |inbox| {
         // Frontend seqs increase monotonically across ALL its owners (one
         // outstanding update per frontend), so any seq above the last one
         // applied from this source is exactly one new message.
-        if seq <= st.applied[src] {
-            continue;
-        }
-        let count = seg.read_word(slot + 1) as usize;
-        let mut pairs = vec![0u64; 2 * count];
-        seg.read(slot + 2, &mut pairs);
+        let src = (from..n).find(|&s| inbox[s * lay.slot_words] > st.applied[s])?;
+        let slot = &inbox[src * lay.slot_words..][..lay.slot_words];
+        let count = slot[1] as usize;
+        Some((src, slot[0], slot[2..2 + 2 * count].to_vec()))
+    }) {
         for c in pairs.chunks_exact(2) {
             let (key, delta) = (c[0], c[1]);
             let off = lay.store_off + 2 * shard.local_index(key);
-            let ver = seg.read_word(off);
-            let val = seg.read_word(off + 1);
             // One 2-word write: a concurrent one-sided GET sees either the
             // old pair or the new pair, never a torn mix.
-            seg.write(off, &[ver + 1, val.wrapping_add(delta)]);
-            st.committed.push((key, ver + 1));
+            let ver = seg.with_range_mut(off, 2, |w| {
+                w[0] += 1;
+                w[1] = w[1].wrapping_add(delta);
+                w[0]
+            });
+            st.committed.push((key, ver));
         }
-        upc.compute(time::ns(cfg.apply_ns * count as u64));
+        upc.compute(time::ns(cfg.apply_ns * (pairs.len() / 2) as u64));
         st.applied[src] = seq;
         let mut r = 0u32;
         // Ack into the source's segment; on (astronomically unlikely)
         // failure the source's own retry/shed path owns recovery.
         let _ = put_retry(upc, src, lay.ack_off + me, &[seq], &mut r);
         st.retries_total += r as u64;
+        from = src + 1;
     }
 }
 
 /// If the outstanding update has been acked, record its completion.
-fn poll_ack(upc: &Upc<'_>, lay: Layout, st: &mut ThreadState, metrics: &MetricsRegistry, loc: Loc) {
+fn poll_ack(upc: &Upc<'_>, lay: Layout, st: &mut ThreadState) {
     let me = upc.mythread();
     let Some(p) = &st.pending else { return };
     let acked = upc.gasnet().segment(me).read_word(lay.ack_off + p.owner);
@@ -289,11 +316,7 @@ fn poll_ack(upc: &Upc<'_>, lay: Layout, st: &mut ThreadState, metrics: &MetricsR
     let now = upc.now();
     let lat = now - p.arrival;
     let faulted = fault_perturbations(upc) != p.fault_snap;
-    metrics.observe("serve.latency", loc, lat);
-    if faulted {
-        metrics.observe("serve.latency_faulted", loc, lat);
-    }
-    metrics.count("serve.completed", loc, 1);
+    st.observe(lat, faulted);
     st.retries_total += p.retries as u64;
     st.records.push(ReqRecord {
         arrival: p.arrival,
@@ -308,7 +331,6 @@ fn poll_ack(upc: &Upc<'_>, lay: Layout, st: &mut ThreadState, metrics: &MetricsR
 }
 
 /// Admit one due request (the caller guarantees no update is outstanding).
-#[allow(clippy::too_many_arguments)]
 fn dispatch(
     upc: &Upc<'_>,
     shard: &ShardMap,
@@ -316,8 +338,6 @@ fn dispatch(
     st: &mut ThreadState,
     cfg: &ServeConfig,
     req: Request,
-    metrics: &MetricsRegistry,
-    loc: Loc,
 ) {
     let me = upc.mythread();
     let now = upc.now();
@@ -326,7 +346,6 @@ fn dispatch(
     // bounded when offered load exceeds capacity.
     if let Some(bound) = cfg.shed_after {
         if now.saturating_sub(req.arrival) > bound {
-            metrics.count("serve.shed", loc, 1);
             st.records.push(ReqRecord {
                 arrival: req.arrival,
                 complete: now,
@@ -356,14 +375,7 @@ fn dispatch(
             let faulted = fault_perturbations(upc) != snap;
             let outcome = if ok { Outcome::Done } else { Outcome::Failed };
             if ok {
-                let lat = now - req.arrival;
-                metrics.observe("serve.latency", loc, lat);
-                if faulted {
-                    metrics.observe("serve.latency_faulted", loc, lat);
-                }
-                metrics.count("serve.completed", loc, 1);
-            } else {
-                metrics.count("serve.failed", loc, 1);
+                st.observe(now - req.arrival, faulted);
             }
             st.records.push(ReqRecord {
                 arrival: req.arrival,
@@ -399,7 +411,6 @@ fn dispatch(
             let mut retries = 0u32;
             let slot = lay.inbox_off + me * lay.slot_words;
             if !put_retry(upc, owner, slot, &msg, &mut retries) {
-                metrics.count("serve.failed", loc, 1);
                 st.retries_total += retries as u64;
                 st.records.push(ReqRecord {
                     arrival: req.arrival,
@@ -471,7 +482,6 @@ pub fn run_serve_prepared(
     CollDomain::install_auto(&job);
     prepare(&mut job.kernel());
 
-    let metrics = Arc::new(MetricsRegistry::new());
     #[derive(Default)]
     struct PerThread {
         records: Vec<ReqRecord>,
@@ -480,17 +490,17 @@ pub fn run_serve_prepared(
         end_time: Time,
         epoch_sums: Vec<(u64, u64)>,
         retries: u64,
+        hist: Hist,
+        hist_faulted: Hist,
     }
     let out: Arc<Vec<SimCell<PerThread>>> =
         Arc::new((0..n).map(|_| SimCell::new(PerThread::default())).collect());
 
     let cfg2 = cfg.clone();
     let shard2 = Arc::clone(&shard);
-    let metrics2 = Arc::clone(&metrics);
     let out2 = Arc::clone(&out);
     let stats = job.run_result(move |upc| {
         let me = upc.mythread();
-        let loc = Loc::new(upc.gasnet().thread_node(me).0 as u32, me as u32);
         let mut st = ThreadState {
             sched: cfg2.traffic.schedule_for(me, &shard2),
             records: Vec::new(),
@@ -499,6 +509,8 @@ pub fn run_serve_prepared(
             pending: None,
             put_seq: 0,
             retries_total: 0,
+            hist: Hist::new(),
+            hist_faulted: Hist::new(),
         };
         let total = st.sched.len();
         let mut epoch_sums = Vec::new();
@@ -510,7 +522,7 @@ pub fn run_serve_prepared(
             let mut published = false;
             loop {
                 drain_inbox(&upc, &shard2, lay, &mut st, &cfg2);
-                poll_ack(&upc, lay, &mut st, &metrics2, loc);
+                poll_ack(&upc, lay, &mut st);
                 let now = upc.now();
                 // Strict FIFO per frontend: nothing dispatches past an
                 // unacked update, so records stay in dispatch order and a
@@ -518,7 +530,7 @@ pub fn run_serve_prepared(
                 if next < hi && st.pending.is_none() {
                     let req = st.sched[next];
                     if req.arrival <= now {
-                        dispatch(&upc, &shard2, lay, &mut st, &cfg2, req, &metrics2, loc);
+                        dispatch(&upc, &shard2, lay, &mut st, &cfg2, req);
                         next += 1;
                         continue;
                     }
@@ -537,8 +549,9 @@ pub fn run_serve_prepared(
                         published = true;
                     }
                     let seg = upc.gasnet().segment(me);
-                    let all = (0..upc.threads())
-                        .all(|t| seg.read_word(lay.flag_off + t) >= (e + 1) as u64);
+                    let all = seg.with_range(lay.flag_off, upc.threads(), |f| {
+                        f.iter().all(|&flag| flag >= (e + 1) as u64)
+                    });
                     if all {
                         break;
                     }
@@ -577,15 +590,13 @@ pub fn run_serve_prepared(
             o.end_time = end;
             o.epoch_sums = epoch_sums.clone();
             o.retries = st.retries_total;
+            o.hist = std::mem::take(&mut st.hist);
+            o.hist_faulted = std::mem::take(&mut st.hist_faulted);
         });
     });
     stats?;
 
-    let mut res = ServeResult {
-        hist: metrics.histogram_total("serve.latency"),
-        hist_faulted: metrics.histogram_total("serve.latency_faulted"),
-        ..Default::default()
-    };
+    let mut res = ServeResult::default();
     let mut h = 0xcbf29ce484222325u64;
     for cell in out.iter() {
         cell.with(|o| {
@@ -602,6 +613,8 @@ pub fn run_serve_prepared(
                 .filter(|r| r.outcome == Outcome::Failed)
                 .count() as u64;
             res.retries += o.retries;
+            res.hist.merge(&o.hist);
+            res.hist_faulted.merge(&o.hist_faulted);
             res.records.push(o.records.clone());
             res.committed.push(o.committed.clone());
             h = fnv(h, o.store_hash);

@@ -10,6 +10,7 @@ use hupc_serve::{
     encode_schedule, run_serve, verify_linearizable_lite, Outcome, ServeConfig, ShardMap,
 };
 use hupc_sim::time;
+use hupc_trace::Hist;
 
 #[test]
 fn schedules_are_byte_identical_across_generations() {
@@ -157,5 +158,99 @@ fn records_and_outcomes_are_consistent() {
                 assert!(rec.retries <= 1000);
             }
         }
+    }
+}
+
+/// FNV-1a over every record's `(arrival, complete, version)`, frontend
+/// by frontend in dispatch order.
+fn records_hash(r: &hupc_serve::ServeResult) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for rec in r.records.iter().flatten() {
+        for w in [rec.arrival, rec.complete, rec.version] {
+            h ^= w;
+            h = h.wrapping_mul(0x100000001B3);
+        }
+    }
+    h
+}
+
+#[test]
+fn drain_order_matches_the_recorded_reference_run() {
+    // The owner reads each source's seq word only when its scan reaches
+    // that source, so a message that lands in a later slot while an
+    // earlier one is being applied is still served in the same pass. A
+    // scan that snapshots every seq once per pass keeps the end time and
+    // end state but changes the request log, which the records hash
+    // catches.
+    let r = run_serve(ServeConfig::small(7));
+    assert_eq!(r.end_time, 1_350_220);
+    assert_eq!(r.end_state, 0x40de_d453_42f6_cd94);
+    assert_eq!(records_hash(&r), 0x3190_216e_adec_1a82);
+    let mut hist = Hist::new();
+    hist.count = 480;
+    hist.sum = 17_491_831;
+    hist.min = 104;
+    hist.max = 447_978;
+    for (b, n) in [
+        (7, 23),
+        (8, 7),
+        (9, 79),
+        (10, 12),
+        (11, 7),
+        (12, 77),
+        (13, 158),
+        (14, 12),
+        (15, 8),
+        (16, 17),
+        (17, 30),
+        (18, 30),
+        (19, 20),
+    ] {
+        hist.buckets[b] = n;
+    }
+    assert_eq!(r.hist, hist);
+}
+
+/// The latency histograms rebuilt from the request records: every `Done`
+/// request's `complete - arrival`, and the `faulted` subset.
+fn hists_from_records(r: &hupc_serve::ServeResult) -> (Hist, Hist) {
+    let (mut all, mut faulted) = (Hist::new(), Hist::new());
+    for rec in r.records.iter().flatten() {
+        if rec.outcome == Outcome::Done {
+            all.observe(rec.complete - rec.arrival);
+            if rec.faulted {
+                faulted.observe(rec.complete - rec.arrival);
+            }
+        }
+    }
+    (all, faulted)
+}
+
+#[test]
+fn latency_histograms_equal_the_records_oracle() {
+    let clean = ServeConfig::small(7);
+    let mut faulty = ServeConfig::small(21);
+    faulty.epochs = 1;
+    faulty.upc.gasnet.fault = Some(FaultPlan::new(0xFEED).loss(0.10).straggler(1, 3.0));
+    let mut shedding = ServeConfig::small(33);
+    shedding.traffic.process = hupc_serve::ArrivalProcess::Poisson {
+        mean_gap: time::ns(300),
+    };
+    shedding.apply_ns = 20_000;
+    shedding.shed_after = Some(time::us(100));
+    for (name, cfg) in [
+        ("fault-free", clean),
+        ("loss+straggler", faulty),
+        ("shedding", shedding),
+    ] {
+        let r = run_serve(cfg);
+        match name {
+            "loss+straggler" => assert!(r.hist_faulted.count > 0, "no faulted request"),
+            "shedding" => assert!(r.shed > 0, "no request shed"),
+            _ => {}
+        }
+        let (all, faulted) = hists_from_records(&r);
+        assert_eq!(r.hist, all, "{name}: hist");
+        assert_eq!(r.hist_faulted, faulted, "{name}: hist_faulted");
     }
 }

@@ -5,6 +5,14 @@
 //! that guarantee usable from safe code: it is `Sync` and hands out scoped
 //! references, with a runtime borrow flag (à la `RefCell`, but atomic so the
 //! type stays `Sync`) catching accidental re-entrancy.
+//!
+//! The flag is not free. A `with` is two atomic read-modify-writes (take and
+//! release a shared borrow); a `with_mut` is a compare-exchange and a store.
+//! On a 2-CPU x86-64 host one single-word `with` measures about 18–22 ns,
+//! and a borrow over 16 words costs about the same. A hot loop that reads
+//! many words of one cell should take one borrow over the whole range, not
+//! one per word. The flag must stay atomic: a `Sync` cell may be shared by
+//! simulations running on different OS threads.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicIsize, Ordering};

@@ -427,13 +427,17 @@ fn try_victim(
     let me = upc.mythread();
     let local_victim = upc.gasnet().castable(me, victim);
     // Group distance in node hops: 0 = same node, further apart = larger.
-    let distance = {
+    // Only the trace reads it, so untraced runs skip the lookup.
+    let distance = upc.ctx().tracer().is_some().then(|| {
         let g = upc.gasnet();
         (g.thread_node(me).0 as i64 - g.thread_node(victim).0 as i64).unsigned_abs()
-    };
-    upc.ctx().trace_emit(hupc_trace::EventKind::StealAttempt, victim as u64, distance);
-    upc.trace_count("uts.steal_attempts", 1);
-    upc.trace_observe("uts.probe_distance", distance);
+    });
+    if let Some(distance) = distance {
+        upc.ctx()
+            .trace_emit(hupc_trace::EventKind::StealAttempt, victim as u64, distance);
+        upc.trace_count("uts.steal_attempts", 1);
+        upc.trace_observe("uts.probe_distance", distance);
+    }
     if local_victim {
         stats.local_probes += 1;
     } else {
@@ -474,14 +478,21 @@ fn try_victim(
     } else {
         stats.remote_steals += 1;
     }
-    upc.ctx().trace_emit(hupc_trace::EventKind::StealSuccess, victim as u64, distance);
-    upc.trace_count("uts.steals", 1);
-    upc.trace_count(
-        if distance == 0 { "uts.steals_local" } else { "uts.steals_remote" },
-        1,
-    );
-    upc.trace_observe("uts.steal_distance", distance);
-    upc.trace_observe("uts.steal_size", stolen.len() as u64);
+    if let Some(distance) = distance {
+        upc.ctx()
+            .trace_emit(hupc_trace::EventKind::StealSuccess, victim as u64, distance);
+        upc.trace_count("uts.steals", 1);
+        upc.trace_count(
+            if distance == 0 {
+                "uts.steals_local"
+            } else {
+                "uts.steals_remote"
+            },
+            1,
+        );
+        upc.trace_observe("uts.steal_distance", distance);
+        upc.trace_observe("uts.steal_size", stolen.len() as u64);
+    }
     Some(stolen)
 }
 
